@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from . import lhv, montecarlo, optimizer, qm
 from .core import (
@@ -327,9 +327,24 @@ def _cmd_mc(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _write_surface(path: str, axes: Iterable[float], planes: Iterable[Any]) -> None:
+    """Write the scan surface CSV one a-plane at a time, as planes arrive."""
+    labels = [repr(value) for value in axes]
+    # ",b,a',b'," for every (b, a') cell, in the planes' row-major order
+    cells = [f",{b},{ap},{ap}," for b in labels for ap in labels]
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("a,b,a_prime,b_prime,lhs\n")
+        for a, plane in zip(labels, planes):
+            handle.write(
+                "".join([f"{a}{cell}{lhs!r}\n" for cell, lhs in zip(cells, plane.ravel().tolist())])
+            )
+
+
 def _cmd_scan(args: argparse.Namespace) -> int:
-    if not 0.0 < args.step <= 45.0:
-        raise ValidationError(f"--step must be in (0, 45], got {args.step}")
+    if not optimizer.MIN_STEP_DEG <= args.step <= optimizer.MAX_STEP_DEG:
+        raise ValidationError(
+            f"--step must be in [{optimizer.MIN_STEP_DEG}, {optimizer.MAX_STEP_DEG}], got {args.step}"
+        )
     if args.rounds < 0:
         raise ValidationError(f"--rounds must be >= 0, got {args.rounds}")
     if args.ineq == "ternary":
@@ -346,14 +361,10 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         source,
         step_deg=args.step,
         refine_rounds=args.rounds,
-        collect_surface=args.surface is not None,
     )
     if args.surface is not None:
-        lines = ["a,b,a_prime,b_prime,lhs"]
-        for a, b, ap, bp, lhs in result.surface or ():
-            lines.append(f"{a!r},{b!r},{ap!r},{bp!r},{lhs!r}")
-        with open(args.surface, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines) + "\n")
+        axes, planes = optimizer.lhs_planes(args.ineq, source, args.step)
+        _write_surface(args.surface, axes.tolist(), planes)
 
     payload: dict[str, Any] = {
         "ineq": args.ineq,
@@ -438,7 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--source", choices=("qm-real", "qm-ideal", "lhv"), default="qm-real")
     p_mc.add_argument("--model", default=None, help="four-axis model file for --source lhv")
     p_mc.add_argument("--workers", type=int, default=1,
-                      help="threads for chunk sampling (never changes the counts)")
+                      help="accepted for compatibility; chunks are drawn in one thread "
+                      "and the counts never depend on it")
     _add_angle_flags(p_mc)
     _add_geometry_flags(p_mc)
     p_mc.add_argument("--counters", default=None, help="write per-pair counts CSV here")
@@ -449,7 +461,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser("scan", help="grid-search setting quads for maximal violation")
     p_scan.add_argument("--ineq", choices=optimizer.INEQUALITIES, default="ternary")
     p_scan.add_argument("--source", choices=("qm-ideal", "qm-real"), default="qm-ideal")
-    p_scan.add_argument("--step", type=float, default=1.0, help="grid step in degrees, (0,45]")
+    p_scan.add_argument(
+        "--step", type=float, default=1.0,
+        help=f"grid step in degrees, [{optimizer.MIN_STEP_DEG}, {optimizer.MAX_STEP_DEG}]",
+    )
     p_scan.add_argument("--rounds", type=int, default=6, help="coordinate refinement rounds")
     _add_geometry_flags(p_scan)
     p_scan.add_argument("--surface", default=None,

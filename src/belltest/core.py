@@ -82,7 +82,10 @@ class AngleDeg:
     degrees: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "degrees", normalize_degrees(self.degrees))
+        degrees = float(self.degrees)
+        if not math.isfinite(degrees):
+            raise ValidationError(f"angle must be finite, got {degrees!r}")
+        object.__setattr__(self, "degrees", normalize_degrees(degrees))
 
     @classmethod
     def of(cls, value: "AngleDeg | float") -> "AngleDeg":

@@ -124,6 +124,8 @@ def quad_from_differences(
     sign branches for b' and a' are searched in a fixed order and the
     first branch whose primed-pair fringe matches cos(2 d4) wins.
     """
+    if not all(math.isfinite(d) for d in (d1, d2, d3, d4)):
+        raise ValidationError(f"differences must be finite, got ({d1}, {d2}, {d3}, {d4})")
     a = 0.0
     b = float(d1)
     target = math.cos(math.radians(2.0 * float(d4)))

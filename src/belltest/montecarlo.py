@@ -4,8 +4,8 @@ Each emitted pair lands in one of the nine outcome cells of an event
 distribution, so a run at fixed settings is a multinomial draw. Draws
 are split into fixed-size chunks whose generator seeds are derived by
 hashing (master seed, setting-pair index, chunk index); the chunk
-layout never depends on the worker count, so the same plan produces bit
-identical counters at any parallelism level. Counters are plain sums,
+layout depends only on the plan, so the same plan produces bit
+identical counters at any worker count. Counters are plain sums,
 mergeable in any order.
 """
 
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,19 +141,13 @@ def sample_pair_events(
 ) -> CoincidenceCounters:
     """Sample n emissions at one setting pair; deterministic in (seed, n).
 
-    workers only distributes chunks over threads; chunk seeds and
-    boundaries are fixed by (seed, n) alone, so the result is identical
-    at any worker count.
+    Chunks are drawn one after another in the calling thread. Each chunk
+    is interpreter-bound Python and numpy work, so threads would only
+    contend for the interpreter lock. workers is accepted for
+    compatibility and ignored: chunk seeds and boundaries are fixed by
+    (seed, n) alone, so the result is identical at any worker count.
     """
-    sizes = chunk_counts(n)
-    tasks = list(enumerate(sizes))
-    if workers <= 1 or len(tasks) == 1:
-        chunks = [sample_chunk(dist, seed, idx, size) for idx, size in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(
-                pool.map(lambda t: sample_chunk(dist, seed, t[0], t[1]), tasks)
-            )
+    chunks = [sample_chunk(dist, seed, idx, size) for idx, size in enumerate(chunk_counts(n))]
     total = np.sum(chunks, axis=0, dtype=np.int64)
     return CoincidenceCounters(n, *(int(c) for c in total))
 

@@ -3,17 +3,20 @@
 The quads are parameterized by three physical axis angles (a, b, a')
 with b' locked to a', which matches the configuration that achieves the
 maximal violation and guarantees every evaluated quad is realizable by
-actual coplanar polarizer axes. The coarse phase sweeps a full grid
-with vectorized closed forms; a derivative-free coordinate refinement
-then halves the step around the incumbent, re-scoring candidates with
-the exact scalar evaluator so both computation paths stay honest.
+actual coplanar polarizer axes. Every scanned form depends on the axes
+only through their differences, so the coarse phase sweeps just the
+a = 0 plane of the grid (n^2 points, not n^3) with vectorized closed
+forms; a derivative-free coordinate refinement then halves the step
+around the incumbent, re-scoring candidates with the exact scalar
+evaluator so both computation paths stay honest. The full n^3 surface
+is available one a-plane at a time from lhs_planes, so a caller can
+stream it out in O(n^2) memory.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from typing import Iterator
 
 import numpy as np
@@ -28,6 +31,14 @@ from .inequalities import (
 )
 
 INEQUALITIES = ("ternary", "detection")
+
+MAX_AXIS_POINTS = 2048
+"""Budget on grid values per axis: one n x n float64 plane stays under 32 MiB."""
+
+MIN_STEP_DEG = 180.0 / MAX_AXIS_POINTS
+"""Smallest grid step whose axis fits MAX_AXIS_POINTS."""
+
+MAX_STEP_DEG = 45.0
 
 _HALF_SINGLES = SinglesProbabilities(p_plus=0.5, p_zero=0.0, p_minus=0.5)
 
@@ -106,6 +117,26 @@ def _fast_lhs_planes(axes: np.ndarray, inequality: str, source) -> Iterator[np.n
         ) + offset
 
 
+def lhs_planes(
+    inequality: str,
+    source: qm.IdealSource | qm.RealSource,
+    step_deg: float,
+) -> tuple[np.ndarray, Iterator[np.ndarray]]:
+    """Grid axis values and the lhs over the full (a, b, a') grid.
+
+    The axis holds [0, 180) at step_deg; the planes are yielded lazily,
+    one per a value in axis order, each indexed (b, a') with b' = a'.
+    Only one plane is alive at a time, so memory stays O(n^2).
+    """
+    _check_combo(inequality, source)
+    if not MIN_STEP_DEG <= step_deg <= MAX_STEP_DEG:
+        raise ValidationError(
+            f"step_deg must be in [{MIN_STEP_DEG!r}, {MAX_STEP_DEG!r}], got {step_deg!r}"
+        )
+    axes = np.arange(0.0, 180.0, float(step_deg))
+    return axes, _fast_lhs_planes(axes, inequality, source)
+
+
 def grid_scan(
     inequality: str,
     source: qm.IdealSource | qm.RealSource,
@@ -115,45 +146,36 @@ def grid_scan(
 ) -> ScanResult:
     """Minimize the inequality lhs over feasible quads.
 
-    Coarse grid over (a, b, a') in [0, 180) at step_deg, then
-    refine_rounds rounds of coordinate refinement, each halving the step
-    and re-scoring a local 5x5x5 neighborhood with the scalar objective.
-    Ties break toward the lexicographically smallest quad. Collecting
-    the surface stores one sample per grid point, so keep steps coarse
-    when asking for it.
+    The coarse phase scores only the a = 0 plane of the (a, b, a') grid
+    over [0, 180) at step_deg: rotating all axes together leaves every
+    form unchanged, so when 180 / step_deg is an integer that plane holds
+    the optimum of the whole grid. refine_rounds rounds of coordinate
+    refinement follow, each halving the step and
+    re-scoring a local 5x5x5 neighborhood in (a, b, a') with the scalar
+    objective. Ties break toward the lexicographically smallest quad.
+    Collecting the surface stores one sample per point of the full n^3
+    grid, so keep steps coarse when asking for it; lhs_planes streams
+    the same values without holding them.
     """
-    _check_combo(inequality, source)
-    if not 0.0 < step_deg <= 45.0:
-        raise ValidationError(f"step_deg must be in (0, 45], got {step_deg!r}")
+    axes, planes = lhs_planes(inequality, source, step_deg)
     if refine_rounds < 0:
         raise ValidationError(f"refine_rounds must be >= 0, got {refine_rounds}")
+    first = next(planes)
+    j, k = divmod(int(np.argmin(first)), axes.size)  # argmin keeps the first minimum
+    surface = None
+    if collect_surface:
+        values = axes.tolist()
+        surface = tuple(
+            (a, b, ap, ap, lhs)
+            for a, plane in zip(values, chain((first,), planes))
+            for (b, ap), lhs in zip(product(values, repeat=2), plane.ravel().tolist())
+        )
 
-    axes = np.arange(0.0, 180.0, float(step_deg))
-    best_value = math.inf
-    best_index: tuple[int, int, int] = (0, 0, 0)
-    surface: list[tuple[float, float, float, float, float]] | None = (
-        [] if collect_surface else None
-    )
-    for i, plane in enumerate(_fast_lhs_planes(axes, inequality, source)):
-        if surface is not None:
-            a_val = float(axes[i])
-            for j in range(axes.size):
-                for k in range(axes.size):
-                    surface.append(
-                        (a_val, float(axes[j]), float(axes[k]), float(axes[k]),
-                         float(plane[j, k]))
-                    )
-        flat = int(np.argmin(plane))
-        value = float(plane.flat[flat])
-        if value < best_value:  # strict: keeps the first (smallest) index
-            best_value = value
-            best_index = (i, *divmod(flat, plane.shape[1]))
-
-    a0, b0, ap0 = (float(axes[idx]) for idx in best_index)
+    b0, ap0 = float(axes[j]), float(axes[k])
     # From here on everything goes through the scalar evaluator so that
     # the reported optimum is consistent with objective().
-    best_axes = (a0, b0, ap0)
-    best_lhs = objective(SettingsQuad.of(a0, b0, ap0, ap0), inequality, source)
+    best_axes = (0.0, b0, ap0)
+    best_lhs = objective(SettingsQuad.of(0.0, b0, ap0, ap0), inequality, source)
 
     span = float(step_deg)
     for _ in range(refine_rounds):
@@ -177,5 +199,5 @@ def grid_scan(
         best_lhs=best_lhs,
         best_factor=factor,
         best_diffs=best_quad.differences(),
-        surface=tuple(surface) if surface is not None else None,
+        surface=surface,
     )

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from belltest import lhv
+import belltest
+from belltest import lhv, optimizer, qm
 from belltest.cli import main
 
 
@@ -225,12 +230,53 @@ class TestScan:
         assert code == 1
         assert "--step" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["--ineq", "ternary"],
+        ["--ineq", "detection", "--source", "qm-real", "--eta", "0.3", "--phi", "40"],
+    ])
+    def test_surface_rows_match_collected_surface(self, capsys, tmp_path, argv):
+        surface = tmp_path / "surface.csv"
+        code, _, _ = run_cli(capsys, [
+            "scan", "--step", "22.5", "--rounds", "0", "--surface", str(surface), *argv,
+        ])
+        assert code == 0
+        source = (
+            qm.IdealSource() if argv[1] == "ternary"
+            else qm.RealSource(qm.CascadeGeometry(eta=0.3, phi_deg=40.0))
+        )
+        result = optimizer.grid_scan(argv[1], source, step_deg=22.5, refine_rounds=0,
+                                     collect_surface=True)
+        rows = [f"{a!r},{b!r},{ap!r},{bp!r},{lhs!r}" for a, b, ap, bp, lhs in result.surface]
+        expected = "\n".join(["a,b,a_prime,b_prime,lhs", *rows]) + "\n"
+        assert surface.read_bytes() == expected.encode("utf-8")
+
     def test_detection_scan(self, capsys):
         payload = run_json(capsys, [
             "scan", "--ineq", "detection", "--source", "qm-real",
             "--step", "15", "--rounds", "3", "--force-F", "1",
         ])
         assert payload["best_lhs"] == pytest.approx(-1.5, abs=1e-4)
+
+
+class TestErrorContract:
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--ineq", "ternary", "--angles", "inf,0,0,0"],
+        ["eval", "--ineq", "ternary-sym", "--diffs", "inf,120,120,0"],
+        ["scan", "--step", "1e-300"],
+        ["scan", "--step", "0.01"],
+    ])
+    def test_bad_input_gives_one_json_error(self, argv):
+        env = {**os.environ, "PYTHONPATH": str(Path(belltest.__file__).parents[1])}
+        result = subprocess.run(
+            [sys.executable, "-m", "belltest", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1
+        assert set(json.loads(lines[0])) == {"error"}
 
 
 class TestParsing:

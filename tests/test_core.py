@@ -57,6 +57,11 @@ class TestAngles:
         assert core.degrees_of(240.0) == 60.0
         assert core.degrees_of(AngleDeg(10.0)) == 10.0
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_angle_rejected(self, value):
+        with pytest.raises(ValidationError, match="finite"):
+            AngleDeg(value)
+
 
 class TestPairProbabilities:
     def test_rejects_negative_cell(self):

@@ -301,6 +301,13 @@ class TestQuadConstruction:
         with pytest.raises(ValidationError):
             quad_from_differences(90, 90, 90, 0)
 
+    @pytest.mark.parametrize("diffs", [
+        (math.inf, 120, 120, 0), (120, 120, 120, math.nan), (120, -math.inf, 120, 0),
+    ])
+    def test_non_finite_differences_rejected(self, diffs):
+        with pytest.raises(ValidationError, match="finite"):
+            quad_from_differences(*diffs)
+
     def test_settings_quad_normalizes(self):
         quad = SettingsQuad.of(0.0, 120.0, 240.0, 240.0)
         assert quad.axes_degrees() == (0.0, 120.0, 60.0, 60.0)

@@ -50,6 +50,31 @@ class TestGridScan:
         with pytest.raises(ValidationError):
             grid_scan("ternary", IDEAL, refine_rounds=-1)
 
+    def test_step_below_axis_budget_rejected(self):
+        for step in (1e-300, 0.01, optimizer.MIN_STEP_DEG / 2.0):
+            with pytest.raises(ValidationError, match="step_deg"):
+                grid_scan("ternary", IDEAL, step_deg=step, refine_rounds=0)
+
+    def test_tenth_degree_step_still_runs(self):
+        result = grid_scan("ternary", IDEAL, step_deg=0.1, refine_rounds=0)
+        assert result.best_lhs == pytest.approx(-1.5, abs=1e-9)
+
+    @pytest.mark.parametrize("step", [45.0, 22.5, 15.0, 9.0, 5.0])
+    @pytest.mark.parametrize("inequality,source", [("ternary", IDEAL), ("detection", REAL_F1)])
+    def test_coarse_plane_matches_full_grid(self, step, inequality, source):
+        # Brute force: the first minimum over all n^3 points, planes in order.
+        axes = np.arange(0.0, 180.0, step)
+        best_value, best_axes = np.inf, None
+        for a, plane in zip(axes, optimizer._fast_lhs_planes(axes, inequality, source)):
+            j, k = divmod(int(np.argmin(plane)), axes.size)
+            if plane[j, k] < best_value:
+                best_value, best_axes = plane[j, k], (a, axes[j], axes[k])
+        a, b, ap = (float(x) for x in best_axes)
+        expected = SettingsQuad.of(a, b, ap, ap)
+        result = grid_scan(inequality, source, step_deg=step, refine_rounds=0)
+        assert result.best_quad == expected
+        assert result.best_lhs == objective(expected, inequality, source)
+
     def test_coarse_scan_minimum_dominates_surface(self):
         result = grid_scan("ternary", IDEAL, step_deg=45.0, refine_rounds=0,
                            collect_surface=True)
