@@ -5,6 +5,10 @@ Reports go to stdout as JSON (default) or CSV. Exit codes: 0 success,
 finds a local-bound violation, which would mean the code is broken).
 All commands are deterministic given their flags; the Monte Carlo seed
 falls back to the BELLTEST_SEED environment variable, then to 0.
+
+montecarlo and optimizer (and with them numpy) are imported inside the
+mc and scan handlers that use them, so verify-theorem and eval start
+without loading numpy.
 """
 
 from __future__ import annotations
@@ -14,9 +18,9 @@ import json
 import math
 import os
 import sys
-from typing import Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
-from . import lhv, montecarlo, optimizer, qm
+from . import lhv, qm
 from .core import (
     BellTestError,
     SinglesProbabilities,
@@ -24,6 +28,10 @@ from .core import (
     cos_double_angle,
 )
 from .inequalities import (
+    INEQUALITIES,
+    MAX_REFINE_ROUNDS,
+    MAX_STEP_DEG,
+    MIN_STEP_DEG,
     InequalityReport,
     SettingsQuad,
     bell_1965,
@@ -34,6 +42,9 @@ from .inequalities import (
     ternary_inequality,
     ternary_inequality_symmetric,
 )
+
+if TYPE_CHECKING:
+    from . import montecarlo
 
 SEED_ENV_VAR = "BELLTEST_SEED"
 
@@ -47,16 +58,17 @@ _IDEAL_INEQS = ("ternary", "ternary-sym", "bell65", "chsh")
 _HALF = SinglesProbabilities(p_plus=0.5, p_zero=0.0, p_minus=0.5)
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse variant that exits 1 on bad flags (2 is reserved)."""
-
-    def error(self, message: str) -> None:  # noqa: A003 - argparse API
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
 def _fail(message: str) -> int:
     print(json.dumps({"error": message}), file=sys.stderr)
     return 1
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse variant whose usage errors follow the CLI error contract:
+    one JSON line on stderr and exit 1 (2 is reserved)."""
+
+    def error(self, message: str) -> None:  # noqa: A003 - argparse API
+        self.exit(_fail(f"{self.prog}: {message}"))
 
 
 def _print_json(payload: dict[str, Any]) -> None:
@@ -265,6 +277,8 @@ def _resolve_seed(args: argparse.Namespace) -> int:
 
 
 def _resolve_source(args: argparse.Namespace) -> montecarlo.Source:
+    from . import montecarlo
+
     if args.source == "qm-ideal":
         return qm.IdealSource()
     if args.source == "qm-real":
@@ -275,8 +289,12 @@ def _resolve_source(args: argparse.Namespace) -> montecarlo.Source:
 
 
 def _cmd_mc(args: argparse.Namespace) -> int:
-    if args.pairs < 1:
-        raise ValidationError(f"--pairs must be >= 1, got {args.pairs}")
+    from . import montecarlo
+
+    if not 1 <= args.pairs <= montecarlo.MAX_PAIRS_PER_SETTING:
+        raise ValidationError(
+            f"--pairs must be in [1, {montecarlo.MAX_PAIRS_PER_SETTING}], got {args.pairs}"
+        )
     if args.workers < 1:
         raise ValidationError(f"--workers must be >= 1, got {args.workers}")
     quad = _resolve_quad(args)
@@ -341,12 +359,16 @@ def _write_surface(path: str, axes: Iterable[float], planes: Iterable[Any]) -> N
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    if not optimizer.MIN_STEP_DEG <= args.step <= optimizer.MAX_STEP_DEG:
+    from . import optimizer
+
+    if not MIN_STEP_DEG <= args.step <= MAX_STEP_DEG:
         raise ValidationError(
-            f"--step must be in [{optimizer.MIN_STEP_DEG}, {optimizer.MAX_STEP_DEG}], got {args.step}"
+            f"--step must be in [{MIN_STEP_DEG}, {MAX_STEP_DEG}], got {args.step}"
         )
-    if args.rounds < 0:
-        raise ValidationError(f"--rounds must be >= 0, got {args.rounds}")
+    if not 0 <= args.rounds <= MAX_REFINE_ROUNDS:
+        raise ValidationError(
+            f"--rounds must be in [0, {MAX_REFINE_ROUNDS}], got {args.rounds}"
+        )
     if args.ineq == "ternary":
         if args.source != "qm-ideal":
             raise ValidationError("--ineq ternary is scanned with --source qm-ideal")
@@ -459,13 +481,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.set_defaults(handler=_cmd_mc)
 
     p_scan = sub.add_parser("scan", help="grid-search setting quads for maximal violation")
-    p_scan.add_argument("--ineq", choices=optimizer.INEQUALITIES, default="ternary")
+    p_scan.add_argument("--ineq", choices=INEQUALITIES, default="ternary")
     p_scan.add_argument("--source", choices=("qm-ideal", "qm-real"), default="qm-ideal")
     p_scan.add_argument(
         "--step", type=float, default=1.0,
-        help=f"grid step in degrees, [{optimizer.MIN_STEP_DEG}, {optimizer.MAX_STEP_DEG}]",
+        help=f"grid step in degrees, [{MIN_STEP_DEG}, {MAX_STEP_DEG}]",
     )
-    p_scan.add_argument("--rounds", type=int, default=6, help="coordinate refinement rounds")
+    p_scan.add_argument("--rounds", type=int, default=6,
+                        help=f"coordinate refinement rounds, [0, {MAX_REFINE_ROUNDS}]")
     _add_geometry_flags(p_scan)
     p_scan.add_argument("--surface", default=None,
                         help="write grid samples CSV here (use coarse --step)")

@@ -36,6 +36,27 @@ LOCAL_BOUND = -1.0
 
 CHSH_BOUND = 2.0
 
+# Angle-scan limits, used by optimizer.grid_scan and the scan command. They
+# live in this numpy-free module so the command-line parser can read them
+# without importing optimizer (and numpy).
+
+INEQUALITIES = ("ternary", "detection")
+"""The forms an angle scan optimizes."""
+
+MAX_AXIS_POINTS = 2048
+"""Budget on grid values per axis: one n x n float64 plane stays under 32 MiB."""
+
+MIN_STEP_DEG = 180.0 / MAX_AXIS_POINTS
+"""Smallest grid step whose axis fits MAX_AXIS_POINTS."""
+
+MAX_STEP_DEG = 45.0
+
+MAX_REFINE_ROUNDS = 64
+"""Most refinement rounds a scan runs. Each round halves the search span, so
+after 64 rounds even a MAX_STEP_DEG span is below 2.5e-18 degrees, far under
+the float spacing of angles near 180 (2.8e-14): further rounds cannot move
+the incumbent and only cost 125 objective calls each."""
+
 
 @dataclass(frozen=True)
 class InequalityReport:

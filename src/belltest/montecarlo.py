@@ -19,6 +19,7 @@ import numpy as np
 
 from . import lhv, qm
 from .core import (
+    CELL_NAMES,
     BellTestError,
     DetectionRates,
     EventDistribution,
@@ -28,6 +29,10 @@ from .inequalities import InequalityReport, SettingsQuad, detection_inequality_s
 
 CHUNK_EMISSIONS = 1 << 20
 """Emissions per sampling chunk; part of the determinism contract."""
+
+MAX_PAIRS_PER_SETTING = 1 << 40
+"""Most emissions one setting pair may draw: 2**20 chunks, so a plan's chunk
+layout stays an 8 MiB tuple. Larger counts are rejected before any sampling."""
 
 PAIR_LABELS: tuple[str, ...] = ("ab", "bpa", "bap", "apbp")
 """The four setting pairs a run measures, in canonical order."""
@@ -120,8 +125,10 @@ def merge_counters(*counters: CoincidenceCounters) -> CoincidenceCounters:
 
 def chunk_counts(n: int) -> tuple[int, ...]:
     """Chunk sizes for n emissions: full chunks plus one remainder."""
-    if n < 1:
-        raise ValidationError(f"emission count must be >= 1, got {n}")
+    if not 1 <= n <= MAX_PAIRS_PER_SETTING:
+        raise ValidationError(
+            f"emission count must be in [1, {MAX_PAIRS_PER_SETTING}], got {n}"
+        )
     full, rest = divmod(n, CHUNK_EMISSIONS)
     return (CHUNK_EMISSIONS,) * full + ((rest,) if rest else ())
 
@@ -146,9 +153,12 @@ def sample_pair_events(
     contend for the interpreter lock. workers is accepted for
     compatibility and ignored: chunk seeds and boundaries are fixed by
     (seed, n) alone, so the result is identical at any worker count.
+    Chunk counts are summed as they are drawn, not kept (int64 sums are
+    exact, so the order of addition cannot change the counters).
     """
-    chunks = [sample_chunk(dist, seed, idx, size) for idx, size in enumerate(chunk_counts(n))]
-    total = np.sum(chunks, axis=0, dtype=np.int64)
+    total = np.zeros(len(CELL_NAMES), dtype=np.int64)
+    for idx, size in enumerate(chunk_counts(n)):
+        total += sample_chunk(dist, seed, idx, size)
     return CoincidenceCounters(n, *(int(c) for c in total))
 
 
@@ -172,9 +182,10 @@ class RunPlan:
     source: Source
 
     def __post_init__(self) -> None:
-        if self.pairs_per_setting < 1:
+        if not 1 <= self.pairs_per_setting <= MAX_PAIRS_PER_SETTING:
             raise ValidationError(
-                f"pairs_per_setting must be >= 1, got {self.pairs_per_setting}"
+                f"pairs_per_setting must be in [1, {MAX_PAIRS_PER_SETTING}], "
+                f"got {self.pairs_per_setting}"
             )
 
 

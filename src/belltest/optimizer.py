@@ -23,22 +23,17 @@ import numpy as np
 
 from . import qm
 from .core import SinglesProbabilities, ValidationError, cos_double_angle
-from .inequalities import (
+from .inequalities import (  # noqa: F401 - the scan limits are re-exported
+    INEQUALITIES,
     LOCAL_BOUND,
+    MAX_AXIS_POINTS,
+    MAX_REFINE_ROUNDS,
+    MAX_STEP_DEG,
+    MIN_STEP_DEG,
     SettingsQuad,
     detection_inequality,
     ternary_inequality,
 )
-
-INEQUALITIES = ("ternary", "detection")
-
-MAX_AXIS_POINTS = 2048
-"""Budget on grid values per axis: one n x n float64 plane stays under 32 MiB."""
-
-MIN_STEP_DEG = 180.0 / MAX_AXIS_POINTS
-"""Smallest grid step whose axis fits MAX_AXIS_POINTS."""
-
-MAX_STEP_DEG = 45.0
 
 _HALF_SINGLES = SinglesProbabilities(p_plus=0.5, p_zero=0.0, p_minus=0.5)
 
@@ -152,14 +147,17 @@ def grid_scan(
     the optimum of the whole grid. refine_rounds rounds of coordinate
     refinement follow, each halving the step and
     re-scoring a local 5x5x5 neighborhood in (a, b, a') with the scalar
-    objective. Ties break toward the lexicographically smallest quad.
+    objective; refine_rounds is at most MAX_REFINE_ROUNDS. Ties break
+    toward the lexicographically smallest quad.
     Collecting the surface stores one sample per point of the full n^3
     grid, so keep steps coarse when asking for it; lhs_planes streams
     the same values without holding them.
     """
     axes, planes = lhs_planes(inequality, source, step_deg)
-    if refine_rounds < 0:
-        raise ValidationError(f"refine_rounds must be >= 0, got {refine_rounds}")
+    if not 0 <= refine_rounds <= MAX_REFINE_ROUNDS:
+        raise ValidationError(
+            f"refine_rounds must be in [0, {MAX_REFINE_ROUNDS}], got {refine_rounds}"
+        )
     first = next(planes)
     j, k = divmod(int(np.argmin(first)), axes.size)  # argmin keeps the first minimum
     surface = None

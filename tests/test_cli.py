@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import belltest
-from belltest import lhv, optimizer, qm
+from belltest import lhv, montecarlo, optimizer, qm
 from belltest.cli import main
 
 
@@ -158,6 +158,13 @@ class TestMc:
         assert code == 1
         assert "--pairs" in err
 
+    def test_pairs_above_budget_rejected(self, capsys):
+        pairs = str(montecarlo.MAX_PAIRS_PER_SETTING + 1)
+        code, out, err = run_cli(capsys, ["mc", "--pairs", pairs])
+        assert code == 1
+        assert out == ""
+        assert "--pairs" in err
+
     def test_env_seed_honored(self, capsys, monkeypatch):
         monkeypatch.setenv("BELLTEST_SEED", "7")
         no_seed_argv = [
@@ -230,6 +237,19 @@ class TestScan:
         assert code == 1
         assert "--step" in err
 
+    @pytest.mark.parametrize("rounds", ["-1", str(optimizer.MAX_REFINE_ROUNDS + 1), "100000000"])
+    def test_rounds_out_of_range(self, capsys, rounds):
+        code, out, err = run_cli(capsys, ["scan", "--step", "45", "--rounds", rounds])
+        assert code == 1
+        assert out == ""
+        assert "--rounds" in err
+
+    def test_most_rounds_still_run(self, capsys):
+        payload = run_json(capsys, [
+            "scan", "--step", "45", "--rounds", str(optimizer.MAX_REFINE_ROUNDS),
+        ])
+        assert payload["best_lhs"] == pytest.approx(-1.5, abs=1e-12)
+
     @pytest.mark.parametrize("argv", [
         ["--ineq", "ternary"],
         ["--ineq", "detection", "--source", "qm-real", "--eta", "0.3", "--phi", "40"],
@@ -264,6 +284,12 @@ class TestErrorContract:
         ["eval", "--ineq", "ternary-sym", "--diffs", "inf,120,120,0"],
         ["scan", "--step", "1e-300"],
         ["scan", "--step", "0.01"],
+        ["eval", "--ineq", "nope"],
+        ["mc", "--pairs", "abc"],
+        ["eval", "--ineq", "ternary", "--bogus"],
+        [],
+        ["mc", "--pairs", str(montecarlo.MAX_PAIRS_PER_SETTING + 1)],
+        ["scan", "--step", "45", "--rounds", "100000000"],
     ])
     def test_bad_input_gives_one_json_error(self, argv):
         env = {**os.environ, "PYTHONPATH": str(Path(belltest.__file__).parents[1])}
@@ -283,6 +309,22 @@ class TestParsing:
     def test_unknown_command(self, capsys):
         code, _, _ = run_cli(capsys, ["frobnicate"])
         assert code == 1
+
+    @pytest.mark.parametrize("argv, needle", [
+        (["eval", "--ineq", "nope"], "--ineq"),
+        (["mc", "--pairs", "abc"], "--pairs"),
+        (["eval", "--ineq", "ternary", "--bogus"], "--bogus"),
+        ([], "command"),
+        (["frobnicate"], "frobnicate"),
+    ])
+    def test_usage_error_is_one_json_line(self, capsys, argv, needle):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        message = json.loads(lines[0])["error"]
+        assert needle in message
 
     def test_help_exits_zero(self, capsys):
         code, out, _ = run_cli(capsys, ["--help"])

@@ -60,6 +60,15 @@ class TestChunking:
         with pytest.raises(ValidationError):
             chunk_counts(0)
 
+    def test_pairs_budget(self):
+        most = mc.MAX_PAIRS_PER_SETTING
+        assert len(chunk_counts(most)) == most // mc.CHUNK_EMISSIONS
+        with pytest.raises(ValidationError):
+            chunk_counts(most + 1)
+        with pytest.raises(ValidationError):
+            RunPlan(quad=QUAD, pairs_per_setting=most + 1, seed=0, source=qm.IdealSource())
+        assert RunPlan(quad=QUAD, pairs_per_setting=most, seed=0, source=qm.IdealSource())
+
 
 class TestSamplePairEvents:
     def test_point_mass(self):

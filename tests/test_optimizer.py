@@ -50,6 +50,19 @@ class TestGridScan:
         with pytest.raises(ValidationError):
             grid_scan("ternary", IDEAL, refine_rounds=-1)
 
+    def test_rounds_above_budget_rejected(self):
+        # Rejected before the coarse plane is scored, so a huge value is cheap.
+        for rounds in (optimizer.MAX_REFINE_ROUNDS + 1, 10**8):
+            with pytest.raises(ValidationError, match="refine_rounds"):
+                grid_scan("ternary", IDEAL, step_deg=45.0, refine_rounds=rounds)
+
+    def test_scan_limits_live_in_inequalities(self):
+        from belltest import inequalities
+
+        for name in ("INEQUALITIES", "MAX_AXIS_POINTS", "MIN_STEP_DEG", "MAX_STEP_DEG",
+                     "MAX_REFINE_ROUNDS"):
+            assert getattr(optimizer, name) is getattr(inequalities, name)
+
     def test_step_below_axis_budget_rejected(self):
         for step in (1e-300, 0.01, optimizer.MIN_STEP_DEG / 2.0):
             with pytest.raises(ValidationError, match="step_deg"):
