@@ -15,32 +15,23 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from . import lhv, qm
-from .core import (
-    BellTestError,
-    SinglesProbabilities,
-    ValidationError,
-    cos_double_angle,
-)
+from .core import BellTestError, ValidationError
 from .inequalities import (
+    FORMS,
     INEQUALITIES,
     MAX_REFINE_ROUNDS,
     MAX_STEP_DEG,
     MIN_STEP_DEG,
     InequalityReport,
     SettingsQuad,
-    bell_1965,
-    chsh,
-    detection_inequality,
-    detection_inequality_symmetric,
+    form_for,
     quad_from_differences,
-    ternary_inequality,
-    ternary_inequality_symmetric,
+    require_symmetric,
 )
 
 if TYPE_CHECKING:
@@ -51,11 +42,6 @@ SEED_ENV_VAR = "BELLTEST_SEED"
 DEFAULT_DIFFS = (120.0, 120.0, 120.0, 0.0)
 DEFAULT_ETA = 0.2
 DEFAULT_PHI = 30.0
-
-_EVAL_INEQS = ("ternary", "ternary-sym", "bell65", "chsh", "detection", "detection-sym")
-_IDEAL_INEQS = ("ternary", "ternary-sym", "bell65", "chsh")
-
-_HALF = SinglesProbabilities(p_plus=0.5, p_zero=0.0, p_minus=0.5)
 
 
 def _fail(message: str) -> int:
@@ -126,25 +112,19 @@ def _resolve_quad(args: argparse.Namespace) -> SettingsQuad:
     return quad_from_differences(*diffs)
 
 
-def _resolve_geometry(args: argparse.Namespace) -> qm.CascadeGeometry:
-    return qm.CascadeGeometry(eta=args.eta, phi_deg=args.phi, f_override=args.force_f)
-
-
-def _cross_fringes(quad: SettingsQuad) -> tuple[float, float, float]:
-    a, b, ap, bp = quad.axes_degrees()
-    return (
-        cos_double_angle(a - b),
-        cos_double_angle(bp - a),
-        cos_double_angle(b - ap),
-    )
-
-
-def _require_symmetric(quad: SettingsQuad, what: str) -> None:
-    c1, c2, c3 = _cross_fringes(quad)
-    if max(abs(c1 - c2), abs(c1 - c3)) > 1e-9:
-        raise ValidationError(
-            f"{what} assumes one shared cross difference; use --diffs d,d,d[,d4]"
+def _resolve_source(args: argparse.Namespace) -> montecarlo.Source:
+    """The --source of eval, mc or scan (only mc offers lhv)."""
+    if args.source == "qm-ideal":
+        return qm.IdealSource()
+    if args.source == "qm-real":
+        return qm.RealSource(
+            qm.CascadeGeometry(eta=args.eta, phi_deg=args.phi, f_override=args.force_f)
         )
+    if args.model is None:
+        raise ValidationError("--source lhv requires --model FILE")
+    from . import montecarlo
+
+    return montecarlo.LhvSource(lhv.load_model(args.model))
 
 
 def _quad_echo(quad: SettingsQuad) -> dict[str, Any]:
@@ -193,58 +173,13 @@ def _cmd_verify_theorem(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _evaluate(args: argparse.Namespace, quad: SettingsQuad) -> InequalityReport:
-    ineq = args.ineq
-    if ineq in _IDEAL_INEQS and args.source != "qm-ideal":
-        raise ValidationError(f"--ineq {ineq} is evaluated with --source qm-ideal")
-    if ineq in ("detection", "detection-sym") and args.source != "qm-real":
-        raise ValidationError(f"--ineq {ineq} is evaluated with --source qm-real")
-
-    a, b, ap, bp = quad.axes_degrees()
-    c1, c2, c3 = _cross_fringes(quad)
-
-    if ineq == "ternary":
-        return ternary_inequality(
-            c1, c2, c3, qm.ideal_pair_probabilities(ap - bp), _HALF, _HALF
-        )
-    if ineq == "ternary-sym":
-        _require_symmetric(quad, "--ineq ternary-sym")
-        pair = qm.ideal_pair_probabilities(ap - bp)
-        return ternary_inequality_symmetric(c1, pair.pp, pair.mm, (0.5, 0.5, 0.5, 0.5))
-    if ineq == "bell65":
-        return bell_1965(c1, c2, c3)
-    if ineq == "chsh":
-        return chsh(c1, c2, c3, cos_double_angle(ap - bp))
-
-    geom = _resolve_geometry(args)
-    single = geom.single_rate
-    if ineq == "detection":
-        return detection_inequality(
-            rates_ab=qm.detection_rates(a, b, geom),
-            rates_bpa=qm.detection_rates(a, bp, geom),
-            rates_bap=qm.detection_rates(ap, b, geom),
-            rates_apbp=qm.detection_rates(ap, bp, geom),
-            singles_ap=(single, single),
-            singles_bp=(single, single),
-        )
-    _require_symmetric(quad, "--ineq detection-sym")
-    rates_cross = qm.detection_rates(a, b, geom)
-    rates_primed = qm.detection_rates(ap, bp, geom)
-    return detection_inequality_symmetric(
-        e_cross=rates_cross.d_pp - rates_cross.d_pm - rates_cross.d_mp + rates_cross.d_mm,
-        total_cross=math.fsum(rates_cross.doubles()),
-        d_pp_primed=rates_primed.d_pp,
-        d_mm_primed=rates_primed.d_mm,
-        total_primed=math.fsum(rates_primed.doubles()),
-        d_plus_primed=single,
-        d_minus_primed=single,
-        singles_total_primed=2.0 * single,
-    )
-
-
 def _cmd_eval(args: argparse.Namespace) -> int:
     quad = _resolve_quad(args)
-    report = _evaluate(args, quad)
+    source = _resolve_source(args)
+    form = form_for(args.ineq, source)
+    if form.symmetric:
+        require_symmetric(quad, f"--ineq {args.ineq}")
+    report = form.evaluate(quad, source)
     inputs: dict[str, Any] = {
         "ineq": args.ineq,
         "source": args.source,
@@ -276,18 +211,6 @@ def _resolve_seed(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_source(args: argparse.Namespace) -> montecarlo.Source:
-    from . import montecarlo
-
-    if args.source == "qm-ideal":
-        return qm.IdealSource()
-    if args.source == "qm-real":
-        return qm.RealSource(_resolve_geometry(args))
-    if args.model is None:
-        raise ValidationError("--source lhv requires --model FILE")
-    return montecarlo.LhvSource(lhv.load_model(args.model))
-
-
 def _cmd_mc(args: argparse.Namespace) -> int:
     from . import montecarlo
 
@@ -298,7 +221,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise ValidationError(f"--workers must be >= 1, got {args.workers}")
     quad = _resolve_quad(args)
-    _require_symmetric(quad, "mc (symmetric estimator)")
+    require_symmetric(quad, "mc (symmetric estimator)")
     seed = _resolve_seed(args)
     plan = montecarlo.RunPlan(
         quad=quad,
@@ -369,15 +292,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         raise ValidationError(
             f"--rounds must be in [0, {MAX_REFINE_ROUNDS}], got {args.rounds}"
         )
-    if args.ineq == "ternary":
-        if args.source != "qm-ideal":
-            raise ValidationError("--ineq ternary is scanned with --source qm-ideal")
-        source: qm.IdealSource | qm.RealSource = qm.IdealSource()
-    else:
-        if args.source != "qm-real":
-            raise ValidationError("--ineq detection is scanned with --source qm-real")
-        source = qm.RealSource(_resolve_geometry(args))
-
+    source = _resolve_source(args)
     result = optimizer.grid_scan(
         args.ineq,
         source,
@@ -456,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(handler=_cmd_verify_theorem)
 
     p_eval = sub.add_parser("eval", help="evaluate one inequality from closed forms")
-    p_eval.add_argument("--ineq", choices=_EVAL_INEQS, required=True)
+    p_eval.add_argument("--ineq", choices=tuple(FORMS), required=True)
     p_eval.add_argument("--source", choices=("qm-ideal", "qm-real"), default="qm-ideal")
     _add_angle_flags(p_eval)
     _add_geometry_flags(p_eval)

@@ -7,15 +7,18 @@ by -1 for every local model. It comes in four flavors: the general
 form, a symmetric reduced form, and measurable variants of both built
 from detection-rate ratios (which cancel the unknown emission count).
 Bell's original 1965 three-correlation inequality and the CHSH
-inequality are provided for comparison.
+inequality are provided for comparison. FORMS names all six and says, for
+each, which quantum source feeds it and how its inputs follow from the
+closed forms at a setting quad.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Any, Callable, Literal, Sequence
 
+from . import qm
 from .core import (
     AngleDeg,
     DetectionRates,
@@ -24,6 +27,7 @@ from .core import (
     UndefinedRatioError,
     ValidationError,
     coincidence_total,
+    cos_double_angle,
     detection_expectation,
     normalize_degrees,
 )
@@ -39,9 +43,6 @@ CHSH_BOUND = 2.0
 # Angle-scan limits, used by optimizer.grid_scan and the scan command. They
 # live in this numpy-free module so the command-line parser can read them
 # without importing optimizer (and numpy).
-
-INEQUALITIES = ("ternary", "detection")
-"""The forms an angle scan optimizes."""
 
 MAX_AXIS_POINTS = 2048
 """Budget on grid values per axis: one n x n float64 plane stays under 32 MiB."""
@@ -324,3 +325,122 @@ def excess_violation_ratio(factor_new: float, factor_ref: float) -> float:
     if factor_ref <= 1.0:
         raise ValidationError("reference factor must exceed 1 for the ratio to be defined")
     return (factor_new - 1.0) / (factor_ref - 1.0)
+
+
+# ---------------------------------------------------------------------------
+# The form table: which source feeds each inequality and how the quantum
+# closed forms at a setting quad become its inputs.
+# ---------------------------------------------------------------------------
+
+_IDEAL_SINGLES = SinglesProbabilities(p_plus=0.5, p_zero=0.0, p_minus=0.5)
+"""An ideal polarizer sends every photon to + or - with equal odds."""
+
+
+def _cross_correlations(quad: SettingsQuad) -> tuple[float, float, float]:
+    """Ideal correlations cos 2(x - y) at the cross pairs (a,b), (b',a), (b,a')."""
+    a, b, ap, bp = quad.axes_degrees()
+    return (cos_double_angle(a - b), cos_double_angle(bp - a), cos_double_angle(b - ap))
+
+
+def require_symmetric(quad: SettingsQuad, what: str) -> None:
+    """Reject a quad whose three cross pairs do not share one fringe value."""
+    c1, c2, c3 = _cross_correlations(quad)
+    if max(abs(c1 - c2), abs(c1 - c3)) > 1e-9:
+        raise ValidationError(
+            f"{what} assumes one shared cross difference; use --diffs d,d,d[,d4]"
+        )
+
+
+def _ternary(quad: SettingsQuad, source: qm.IdealSource) -> InequalityReport:
+    _, _, ap, bp = quad.axes_degrees()
+    return ternary_inequality(
+        *_cross_correlations(quad), qm.ideal_pair_probabilities(ap - bp),
+        _IDEAL_SINGLES, _IDEAL_SINGLES,
+    )
+
+
+def _ternary_sym(quad: SettingsQuad, source: qm.IdealSource) -> InequalityReport:
+    _, _, ap, bp = quad.axes_degrees()
+    pair = qm.ideal_pair_probabilities(ap - bp)
+    e_cross = _cross_correlations(quad)[0]
+    return ternary_inequality_symmetric(e_cross, pair.pp, pair.mm, (0.5, 0.5, 0.5, 0.5))
+
+
+def _bell65(quad: SettingsQuad, source: qm.IdealSource) -> InequalityReport:
+    return bell_1965(*_cross_correlations(quad))
+
+
+def _chsh(quad: SettingsQuad, source: qm.IdealSource) -> InequalityReport:
+    _, _, ap, bp = quad.axes_degrees()
+    return chsh(*_cross_correlations(quad), cos_double_angle(ap - bp))
+
+
+def _detection(quad: SettingsQuad, source: qm.RealSource) -> InequalityReport:
+    a, b, ap, bp = quad.axes_degrees()
+    geom = source.geometry
+    single = geom.single_rate
+    return detection_inequality(
+        rates_ab=qm.detection_rates(a, b, geom),
+        rates_bpa=qm.detection_rates(a, bp, geom),
+        rates_bap=qm.detection_rates(ap, b, geom),
+        rates_apbp=qm.detection_rates(ap, bp, geom),
+        singles_ap=(single, single),
+        singles_bp=(single, single),
+    )
+
+
+def _detection_sym(quad: SettingsQuad, source: qm.RealSource) -> InequalityReport:
+    a, b, ap, bp = quad.axes_degrees()
+    geom = source.geometry
+    single = geom.single_rate
+    cross = qm.detection_rates(a, b, geom)
+    primed = qm.detection_rates(ap, bp, geom)
+    return detection_inequality_symmetric(
+        e_cross=detection_expectation(cross),
+        total_cross=coincidence_total(cross),
+        d_pp_primed=primed.d_pp,
+        d_mm_primed=primed.d_mm,
+        total_primed=coincidence_total(primed),
+        d_plus_primed=single,
+        d_minus_primed=single,
+        singles_total_primed=2.0 * single,
+    )
+
+
+@dataclass(frozen=True)
+class Form:
+    """How one named inequality is evaluated from quantum closed forms.
+
+    source is the qm source class whose predictions feed it. A symmetric
+    form assumes its three cross pairs share one axis difference (see
+    require_symmetric); a scannable one is optimized by an angle scan.
+    evaluate(quad, source) does not check either condition.
+    """
+
+    source: type[qm.IdealSource] | type[qm.RealSource]
+    symmetric: bool
+    scannable: bool
+    evaluate: Callable[[SettingsQuad, Any], InequalityReport]
+
+
+FORMS: dict[str, Form] = {
+    "ternary": Form(qm.IdealSource, symmetric=False, scannable=True, evaluate=_ternary),
+    "ternary-sym": Form(qm.IdealSource, symmetric=True, scannable=False, evaluate=_ternary_sym),
+    "bell65": Form(qm.IdealSource, symmetric=False, scannable=False, evaluate=_bell65),
+    "chsh": Form(qm.IdealSource, symmetric=False, scannable=False, evaluate=_chsh),
+    "detection": Form(qm.RealSource, symmetric=False, scannable=True, evaluate=_detection),
+    "detection-sym": Form(qm.RealSource, symmetric=True, scannable=False, evaluate=_detection_sym),
+}
+
+INEQUALITIES = tuple(name for name, form in FORMS.items() if form.scannable)
+"""The forms an angle scan optimizes."""
+
+
+def form_for(name: str, source: object) -> Form:
+    """The table entry for name, once source is the kind that entry needs."""
+    form = FORMS.get(name)
+    if form is None:
+        raise ValidationError(f"unknown inequality {name!r}; expected one of {tuple(FORMS)}")
+    if not isinstance(source, form.source):
+        raise ValidationError(f"the {name} inequality needs the {form.source.kind} source")
+    return form

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .core import (
+    CELL_NAMES,
+    CELL_OUTCOMES,
     SUM_TOL,
     BellTestError,
     Outcome,
@@ -136,19 +138,10 @@ def pair_probabilities(model: FourAxisModel, side1: Side1, side2: Side2) -> Pair
         pick1, pick2 = _SELECT_1[side1], _SELECT_2[side2]
     except KeyError as exc:
         raise ValidationError(f"unknown side selector {exc.args[0]!r}") from None
-    cells: dict[tuple[Outcome, Outcome], float] = {
-        (i, j): 0.0 for i in OUTCOMES for j in OUTCOMES
-    }
+    cells = dict.fromkeys(CELL_OUTCOMES, 0.0)
     for assignment, weight in zip(enumerate_assignments(), model.weights):
         cells[(pick1(assignment), pick2(assignment))] += weight
-    o = Outcome
-    return PairProbabilities(
-        pp=cells[(o.PLUS, o.PLUS)], pm=cells[(o.PLUS, o.MINUS)],
-        mp=cells[(o.MINUS, o.PLUS)], mm=cells[(o.MINUS, o.MINUS)],
-        pz=cells[(o.PLUS, o.ZERO)], zp=cells[(o.ZERO, o.PLUS)],
-        mz=cells[(o.MINUS, o.ZERO)], zm=cells[(o.ZERO, o.MINUS)],
-        zz=cells[(o.ZERO, o.ZERO)],
-    )
+    return PairProbabilities(**{name: cells[o] for name, o in zip(CELL_NAMES, CELL_OUTCOMES)})
 
 
 def bell_functional(assignment: DeterministicAssignment) -> int:

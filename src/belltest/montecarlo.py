@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -44,11 +45,6 @@ _PAIR_AXES = {
     "apbp": ("a_prime", "b_prime"),
 }
 
-_CSV_CELLS = (
-    ("pp", "pp"), ("pm", "pm"), ("mp", "mp"), ("mm", "mm"),
-    ("pz", "p0"), ("zp", "0p"), ("mz", "m0"), ("zm", "0m"), ("zz", "00"),
-)
-
 
 class InsufficientStatisticsError(BellTestError):
     """Too few detected events to form the requested estimate."""
@@ -75,8 +71,6 @@ class CoincidenceCounters:
     zm: int = 0
     zz: int = 0
 
-    _CELLS = ("pp", "pm", "mp", "mm", "pz", "zp", "mz", "zm", "zz")
-
     def __post_init__(self) -> None:
         cells = self.cells()
         if any(c < 0 for c in cells) or self.n_emitted < 0:
@@ -87,7 +81,7 @@ class CoincidenceCounters:
             )
 
     def cells(self) -> tuple[int, ...]:
-        return tuple(getattr(self, name) for name in self._CELLS)
+        return tuple(getattr(self, name) for name in CELL_NAMES)
 
     @property
     def coincidences(self) -> int:
@@ -165,6 +159,8 @@ def sample_pair_events(
 @dataclass(frozen=True)
 class LhvSource:
     """Simulation source: each emission draws one four-axis assignment."""
+
+    kind: ClassVar[str] = "lhv"
 
     model: lhv.FourAxisModel
 
@@ -363,20 +359,16 @@ def counters_csv(counters_by_pair: dict[str, CoincidenceCounters]) -> str:
     """Byte-stable CSV dump: one pair,cell,count row per cell."""
     lines = ["pair,cell,count"]
     for label, counters in counters_by_pair.items():
-        for attr, cell_name in _CSV_CELLS:
-            lines.append(f"{label},{cell_name},{getattr(counters, attr)}")
+        for name in CELL_NAMES:
+            lines.append(f"{label},{name.replace('z', '0')},{getattr(counters, name)}")
     return "\n".join(lines) + "\n"
 
 
 def _describe_source(source: Source) -> str:
-    if isinstance(source, qm.IdealSource):
-        return "qm-ideal"
     if isinstance(source, qm.RealSource):
         g = source.geometry
-        return f"qm-real eta={g.eta!r} phi_deg={g.phi_deg!r} f_override={g.f_override!r}"
-    if isinstance(source, LhvSource):
-        return "lhv"
-    return type(source).__name__
+        return f"{source.kind} eta={g.eta!r} phi_deg={g.phi_deg!r} f_override={g.f_override!r}"
+    return source.kind
 
 
 def run_manifest(plan: RunPlan, counters_by_pair: dict[str, CoincidenceCounters]) -> str:

@@ -22,7 +22,7 @@ from typing import Iterator
 import numpy as np
 
 from . import qm
-from .core import SinglesProbabilities, ValidationError, cos_double_angle
+from .core import ValidationError
 from .inequalities import (  # noqa: F401 - the scan limits are re-exported
     INEQUALITIES,
     LOCAL_BOUND,
@@ -30,12 +30,10 @@ from .inequalities import (  # noqa: F401 - the scan limits are re-exported
     MAX_REFINE_ROUNDS,
     MAX_STEP_DEG,
     MIN_STEP_DEG,
+    Form,
     SettingsQuad,
-    detection_inequality,
-    ternary_inequality,
+    form_for,
 )
-
-_HALF_SINGLES = SinglesProbabilities(p_plus=0.5, p_zero=0.0, p_minus=0.5)
 
 
 @dataclass(frozen=True)
@@ -49,15 +47,12 @@ class ScanResult:
     surface: tuple[tuple[float, float, float, float, float], ...] | None = None
 
 
-def _check_combo(inequality: str, source: qm.IdealSource | qm.RealSource) -> None:
-    if inequality == "ternary":
-        if not isinstance(source, qm.IdealSource):
-            raise ValidationError("the ternary inequality is scanned with the qm-ideal source")
-    elif inequality == "detection":
-        if not isinstance(source, qm.RealSource):
-            raise ValidationError("the detection inequality is scanned with the qm-real source")
-    else:
-        raise ValidationError(f"unknown inequality {inequality!r}; expected one of {INEQUALITIES}")
+def _scan_form(inequality: str, source: qm.IdealSource | qm.RealSource) -> Form:
+    if inequality not in INEQUALITIES:
+        raise ValidationError(
+            f"cannot scan inequality {inequality!r}; expected one of {INEQUALITIES}"
+        )
+    return form_for(inequality, source)
 
 
 def objective(
@@ -66,29 +61,7 @@ def objective(
     source: qm.IdealSource | qm.RealSource,
 ) -> float:
     """Inequality left-hand side at a quad from closed-form inputs."""
-    _check_combo(inequality, source)
-    a, b, ap, bp = quad.axes_degrees()
-    if inequality == "ternary":
-        report = ternary_inequality(
-            e_ab=cos_double_angle(a - b),
-            e_bpa=cos_double_angle(bp - a),
-            e_bap=cos_double_angle(b - ap),
-            pair_apbp=qm.ideal_pair_probabilities(ap - bp),
-            singles_ap=_HALF_SINGLES,
-            singles_bp=_HALF_SINGLES,
-        )
-        return report.lhs
-    geom = source.geometry
-    single = geom.single_rate
-    report = detection_inequality(
-        rates_ab=qm.detection_rates(a, b, geom),
-        rates_bpa=qm.detection_rates(a, bp, geom),
-        rates_bap=qm.detection_rates(ap, b, geom),
-        rates_apbp=qm.detection_rates(ap, bp, geom),
-        singles_ap=(single, single),
-        singles_bp=(single, single),
-    )
-    return report.lhs
+    return _scan_form(inequality, source).evaluate(quad, source).lhs
 
 
 def _fast_lhs_planes(axes: np.ndarray, inequality: str, source) -> Iterator[np.ndarray]:
@@ -123,7 +96,7 @@ def lhs_planes(
     one per a value in axis order, each indexed (b, a') with b' = a'.
     Only one plane is alive at a time, so memory stays O(n^2).
     """
-    _check_combo(inequality, source)
+    _scan_form(inequality, source)
     if not MIN_STEP_DEG <= step_deg <= MAX_STEP_DEG:
         raise ValidationError(
             f"step_deg must be in [{MIN_STEP_DEG!r}, {MAX_STEP_DEG!r}], got {step_deg!r}"

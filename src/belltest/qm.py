@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .core import (
     CELL_TOL,
@@ -196,9 +197,13 @@ def complete_detection_rates(rates: DetectionRates) -> EventDistribution:
 class IdealSource:
     """Simulation source: ideal polarizers and detectors."""
 
+    kind: ClassVar[str] = "qm-ideal"
+
 
 @dataclass(frozen=True)
 class RealSource:
     """Simulation source: finite-aperture detection model."""
+
+    kind: ClassVar[str] = "qm-real"
 
     geometry: CascadeGeometry

@@ -10,6 +10,17 @@ import pytest
 import belltest
 from belltest import lhv, montecarlo, optimizer, qm
 from belltest.cli import main
+from belltest.core import SinglesProbabilities, cos_double_angle
+from belltest.inequalities import (
+    FORMS,
+    SettingsQuad,
+    bell_1965,
+    chsh,
+    detection_inequality,
+    detection_inequality_symmetric,
+    ternary_inequality,
+    ternary_inequality_symmetric,
+)
 
 
 def run_cli(capsys, argv):
@@ -112,6 +123,93 @@ class TestEval:
         ])
         assert code == 1
         assert "shared cross difference" in err
+
+
+def _ideal_reference(name, quad):
+    a, b, ap, bp = quad.axes_degrees()
+    e = (cos_double_angle(a - b), cos_double_angle(bp - a), cos_double_angle(b - ap))
+    pair = qm.ideal_pair_probabilities(ap - bp)
+    half = SinglesProbabilities(p_plus=0.5, p_zero=0.0, p_minus=0.5)
+    if name == "ternary":
+        return ternary_inequality(*e, pair, half, half)
+    if name == "ternary-sym":
+        return ternary_inequality_symmetric(e[0], pair.pp, pair.mm, (0.5, 0.5, 0.5, 0.5))
+    if name == "bell65":
+        return bell_1965(*e)
+    return chsh(*e, cos_double_angle(ap - bp))
+
+
+def _real_reference(name, quad, geom):
+    a, b, ap, bp = quad.axes_degrees()
+    s = geom.single_rate
+    if name == "detection":
+        return detection_inequality(
+            qm.detection_rates(a, b, geom), qm.detection_rates(a, bp, geom),
+            qm.detection_rates(ap, b, geom), qm.detection_rates(ap, bp, geom),
+            (s, s), (s, s),
+        )
+    cross = qm.detection_rates(a, b, geom)
+    primed = qm.detection_rates(ap, bp, geom)
+    return detection_inequality_symmetric(
+        cross.d_pp - cross.d_pm - cross.d_mp + cross.d_mm, math.fsum(cross.doubles()),
+        primed.d_pp, primed.d_mm, math.fsum(primed.doubles()), s, s, 2.0 * s,
+    )
+
+
+REQUIRED_SOURCE = {
+    "ternary": "qm-ideal", "ternary-sym": "qm-ideal", "bell65": "qm-ideal",
+    "chsh": "qm-ideal", "detection": "qm-real", "detection-sym": "qm-real",
+}
+
+
+class TestFormRegistry:
+    """Every (form, source) pair through the CLI, against the formulas called
+    directly: the matching source evaluates, the other one is refused."""
+
+    GEOMETRY = ["--eta", "0.3", "--phi", "40"]
+
+    def test_table_names_every_form_once(self):
+        assert tuple(FORMS) == tuple(REQUIRED_SOURCE)
+        for name, form in FORMS.items():
+            assert form.source.kind == REQUIRED_SOURCE[name]
+        assert optimizer.INEQUALITIES == ("ternary", "detection")
+
+    @pytest.mark.parametrize("diffs", ["120,120,120,0", "22.5,22.5,22.5,67.5"])
+    @pytest.mark.parametrize("name", list(REQUIRED_SOURCE))
+    def test_matching_source(self, capsys, name, diffs):
+        source = REQUIRED_SOURCE[name]
+        payload = run_json(capsys, [
+            "eval", "--ineq", name, "--source", source, "--diffs", diffs, *self.GEOMETRY,
+        ])
+        echo = payload["inputs"]["quad"]
+        quad = SettingsQuad.of(echo["a"], echo["b"], echo["a_prime"], echo["b_prime"])
+        if source == "qm-ideal":
+            expected = _ideal_reference(name, quad)
+        else:
+            expected = _real_reference(name, quad, qm.CascadeGeometry(eta=0.3, phi_deg=40.0))
+        assert payload["name"] == name
+        assert payload["lhs"] == expected.lhs
+
+    @pytest.mark.parametrize("name", list(REQUIRED_SOURCE))
+    def test_mismatched_source(self, capsys, name):
+        required = REQUIRED_SOURCE[name]
+        other = "qm-real" if required == "qm-ideal" else "qm-ideal"
+        code, out, err = run_cli(capsys, ["eval", "--ineq", name, "--source", other])
+        assert code == 1
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert required in json.loads(lines[0])["error"]
+
+    @pytest.mark.parametrize("name", optimizer.INEQUALITIES)
+    def test_scan_objective_is_the_table_evaluator(self, name):
+        source = (
+            qm.IdealSource() if REQUIRED_SOURCE[name] == "qm-ideal"
+            else qm.RealSource(qm.CascadeGeometry(eta=0.3, phi_deg=40.0))
+        )
+        for axes in [(0, 0, 0, 0), (0, 120, 240, 120), (10.5, 77.25, 133, 133), (5, 50, 95, 140)]:
+            quad = SettingsQuad.of(*axes)
+            assert optimizer.objective(quad, name, source) == FORMS[name].evaluate(quad, source).lhs
 
 
 class TestMc:

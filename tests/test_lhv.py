@@ -184,6 +184,27 @@ class TestMixtureFunctional:
             )
 
 
+class TestLinearProgram:
+    def test_simplex_minimum_is_the_enumerated_bound(self):
+        """Second proof of the -1 bound: minimize the ternary lhs, built from
+        marginals rather than bell_functional, over all mixtures by LP."""
+        optimize = pytest.importorskip("scipy.optimize")
+        assignments = enumerate_assignments()
+        costs = [
+            ternary_lhs_from_model(FourAxisModel.point_mass(s)) for s in assignments
+        ]
+        result = optimize.linprog(
+            costs, A_eq=[[1.0] * 81], b_eq=[1.0], bounds=(0.0, None), method="highs",
+        )
+        assert result.status == 0
+        assert result.fun == pytest.approx(-1.0, abs=1e-9)
+        # The optimal face of the simplex is spanned by the vertices at the optimum.
+        vertices = tuple(s for s, c in zip(assignments, costs) if c <= result.fun + 1e-9)
+        assert vertices == verify_theorem().argmin_assignments
+        support = {s for s, w in zip(assignments, result.x) if w > 1e-9}
+        assert support <= set(vertices)
+
+
 class TestModelFiles:
     def test_round_trip(self, tmp_path):
         model = random_model(31)
