@@ -155,7 +155,12 @@ def quad_from_differences(
         for ap_sign in (1.0, -1.0):
             bp = bp_sign * float(d2)
             ap = b + ap_sign * float(d3)
-            if abs(math.cos(math.radians(2.0 * (ap - bp))) - target) <= 1e-9:
+            doubled = 2.0 * (ap - bp)
+            if not math.isfinite(doubled):
+                raise ValidationError(
+                    f"differences ({d1}, {d2}, {d3}, {d4}) are too large to realize"
+                )
+            if abs(math.cos(math.radians(doubled)) - target) <= 1e-9:
                 return SettingsQuad.of(a, b, ap, bp)
     raise ValidationError(
         f"differences ({d1}, {d2}, {d3}, {d4}) are not realizable by four coplanar axes"

@@ -303,7 +303,11 @@ def load_model_text(text: str) -> FourAxisModel:
 
 def load_model(path: str | os.PathLike[str]) -> FourAxisModel:
     with open(path, "r", encoding="utf-8") as handle:
-        return load_model_text(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ModelFileError(f"{os.fspath(path)!r} is not UTF-8 text: {exc.reason}") from None
+    return load_model_text(text)
 
 
 def save_model(model: FourAxisModel, path: str | os.PathLike[str]) -> None:

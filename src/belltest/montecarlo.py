@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import ClassVar, Iterator
 
 import numpy as np
 
@@ -127,14 +127,126 @@ def chunk_counts(n: int) -> tuple[int, ...]:
     return (CHUNK_EMISSIONS,) * full + ((rest,) if rest else ())
 
 
+_SEED_BLOCK = 1024
+"""Chunks whose seeds are derived in one vectorized pass. Any block size gives
+the same streams; this one keeps a block's Python objects near 300 KB."""
+
+# numpy's SeedSequence hash constants; NEP 19 keeps its seeding stable.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = np.uint32(16)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_schedule(init: int, mult: int, count: int) -> list[tuple[np.uint32, np.uint32]]:
+    # The running hash constant never depends on the data, so each hash step's
+    # (xor, multiplier) pair is a constant: (h, h * mult) with h advancing by mult.
+    schedule = []
+    for _ in range(count):
+        advanced = (init * mult) & _MASK32
+        schedule.append((np.uint32(init), np.uint32(advanced)))
+        init = advanced
+    return schedule
+
+
+_ENTROPY_HASHES = _hash_schedule(_INIT_A, _MULT_A, 4 + 12)  # fill the pool, then 12 cross-mixes
+_STATE_HASHES = _hash_schedule(_INIT_B, _MULT_B, 8)
+
+
+def _pcg64_seed_words(seeds: np.ndarray) -> np.ndarray:
+    """SeedSequence(s).generate_state(4, np.uint64) for every uint64 seed s.
+
+    Runs numpy's pool-of-four mixing on uint32 columns, one array operation
+    per hash step, so a block of seeds costs a few dozen array operations.
+    Returns an (n, 4) uint64 array.
+    """
+    halves = seeds.astype("<u8").view("<u4").reshape(-1, 2)
+    hashes = iter(_ENTROPY_HASHES)
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        xor, mult = next(hashes)
+        value = (value ^ xor) * mult
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> _XSHIFT)
+
+    zero = np.zeros(len(halves), dtype=np.uint32)
+    pool = [hashmix(halves[:, 0]), hashmix(halves[:, 1]), hashmix(zero), hashmix(zero)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    words = []
+    for i, (xor, mult) in enumerate(_STATE_HASHES):
+        value = (pool[i % 4] ^ xor) * mult
+        words.append(value ^ (value >> _XSHIFT))
+    # Consecutive uint32 words pair into little-endian uint64s, as in numpy.
+    return np.stack(words, axis=1).astype("<u4").view("<u8")
+
+
+def _pcg64_state(w0: int, w1: int, w2: int, w3: int) -> dict[str, int]:
+    """The {"state", "inc"} that PCG64 sets from SeedSequence words w0..w3."""
+    # pcg64_set_seed: inc from words 2-3, then two LCG steps around words 0-1
+    inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+    return {"state": ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _MASK128, "inc": inc}
+
+
+def _chunk_seeds(pair_seed: int, start: int, stop: int) -> np.ndarray:
+    """derive_seed(pair_seed, idx) for idx in start..stop-1, as a uint64 array."""
+    prefix = hashlib.sha256(f"{pair_seed}::".encode("utf-8"))
+    digests = []
+    for idx in range(start, stop):
+        digest = prefix.copy()
+        digest.update(str(idx).encode("utf-8"))
+        digests.append(digest.digest())
+    # A seed is the first 8 of each 32 digest bytes, read little-endian.
+    return np.frombuffer(b"".join(digests), dtype="<u8")[::4]
+
+
+def _draw_chunks(
+    p: np.ndarray, pair_seed: int, first: int, sizes: tuple[int, ...]
+) -> Iterator[np.ndarray]:
+    """Cell counts of chunks first, first+1, ... with the given sizes.
+
+    Each chunk draws from the stream np.random.default_rng(derive_seed(
+    pair_seed, idx)) would start: its PCG64 state is derived in blocks and
+    set on one reused generator. The first chunk's state is checked
+    against numpy's own seeding, so a numpy that seeds differently stops
+    the run instead of changing its counters.
+    """
+    bit_generator = np.random.PCG64(derive_seed(pair_seed, first))
+    generator = np.random.Generator(bit_generator)
+    expected = bit_generator.state["state"]
+    state = {"bit_generator": "PCG64", "state": expected, "has_uint32": 0, "uinteger": 0}
+    for offset in range(0, len(sizes), _SEED_BLOCK):
+        block = sizes[offset:offset + _SEED_BLOCK]
+        start = first + offset
+        words = _pcg64_seed_words(_chunk_seeds(pair_seed, start, start + len(block))).tolist()
+        if offset == 0 and _pcg64_state(*words[0]) != expected:
+            raise BellTestError(
+                f"derived PCG64 state of chunk {first} differs from numpy's seeding"
+            )
+        for chunk_words, size in zip(words, block):
+            state["state"] = _pcg64_state(*chunk_words)
+            bit_generator.state = state
+            yield generator.multinomial(size, p)
+
+
+def _cell_probabilities(dist: EventDistribution) -> np.ndarray:
+    p = np.asarray(dist.cells(), dtype=np.float64)
+    return p / p.sum()
+
+
 def sample_chunk(
     dist: EventDistribution, pair_seed: int, chunk_index: int, count: int
 ) -> np.ndarray:
     """Multinomial cell counts for one chunk, from its derived stream."""
-    rng = np.random.default_rng(derive_seed(pair_seed, chunk_index))
-    p = np.asarray(dist.cells(), dtype=np.float64)
-    p = p / p.sum()
-    return rng.multinomial(count, p)
+    return next(_draw_chunks(_cell_probabilities(dist), pair_seed, chunk_index, (count,)))
 
 
 def sample_pair_events(
@@ -151,8 +263,8 @@ def sample_pair_events(
     exact, so the order of addition cannot change the counters).
     """
     total = np.zeros(len(CELL_NAMES), dtype=np.int64)
-    for idx, size in enumerate(chunk_counts(n)):
-        total += sample_chunk(dist, seed, idx, size)
+    for counts in _draw_chunks(_cell_probabilities(dist), seed, 0, chunk_counts(n)):
+        total += counts
     return CoincidenceCounters(n, *(int(c) for c in total))
 
 

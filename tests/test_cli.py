@@ -388,8 +388,22 @@ class TestErrorContract:
         [],
         ["mc", "--pairs", str(montecarlo.MAX_PAIRS_PER_SETTING + 1)],
         ["scan", "--step", "45", "--rounds", "100000000"],
+        ["eval", "--ineq", "ternary", "--diffs", "1e308,120,120"],
+        ["mc", "--diffs", "1e308,120,120"],
     ])
     def test_bad_input_gives_one_json_error(self, argv):
+        self.assert_one_json_error(argv)
+
+    def test_non_utf8_model_file_gives_one_json_error(self, tmp_path):
+        path = tmp_path / "latin1.lhv"
+        path.write_bytes(b"\xff\xfe++++ 1.0\n")
+        message = self.assert_one_json_error(
+            ["mc", "--source", "lhv", "--model", str(path), "--pairs", "10"]
+        )
+        assert "UTF-8" in message
+
+    @staticmethod
+    def assert_one_json_error(argv):
         env = {**os.environ, "PYTHONPATH": str(Path(belltest.__file__).parents[1])}
         result = subprocess.run(
             [sys.executable, "-m", "belltest", *argv],
@@ -400,7 +414,9 @@ class TestErrorContract:
         assert result.stdout == ""
         lines = result.stderr.splitlines()
         assert len(lines) == 1
-        assert set(json.loads(lines[0])) == {"error"}
+        payload = json.loads(lines[0])
+        assert set(payload) == {"error"}
+        return payload["error"]
 
 
 class TestParsing:

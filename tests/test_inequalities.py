@@ -308,6 +308,13 @@ class TestQuadConstruction:
         with pytest.raises(ValidationError, match="finite"):
             quad_from_differences(*diffs)
 
+    @pytest.mark.parametrize("diffs", [
+        (1e308, 120, 120, 0), (1.7e308, 1.7e308, -1.7e308, 0), (120, -1e308, 1e308, 0),
+    ])
+    def test_overflowing_differences_rejected(self, diffs):
+        with pytest.raises(ValidationError, match="too large"):
+            quad_from_differences(*diffs)
+
     def test_settings_quad_normalizes(self):
         quad = SettingsQuad.of(0.0, 120.0, 240.0, 240.0)
         assert quad.axes_degrees() == (0.0, 120.0, 60.0, 60.0)

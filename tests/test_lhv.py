@@ -240,6 +240,12 @@ class TestModelFiles:
         with pytest.raises(ModelFileError, match=">= 0"):
             lhv.load_model_text("++++ -0.5\n" + rest)
 
+    def test_rejects_non_utf8_file(self, tmp_path):
+        path = tmp_path / "latin1.lhv"
+        path.write_bytes(lhv.save_model_text(FourAxisModel.uniform()).encode() + b"# \xe9\n")
+        with pytest.raises(ModelFileError, match="UTF-8"):
+            lhv.load_model(path)
+
     def test_rejects_bad_sum(self):
         text = "\n".join(f"{s.key()} 0.5" for s in enumerate_assignments())
         with pytest.raises(ModelFileError, match="sum"):

@@ -1,10 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from belltest import lhv, montecarlo as mc, qm
-from belltest.core import Outcome, ValidationError
+from belltest.core import BellTestError, Outcome, ValidationError
 from belltest.inequalities import quad_from_differences
 from belltest.montecarlo import (
     CoincidenceCounters,
@@ -112,6 +113,82 @@ class TestSamplePairEvents:
             for idx, size in enumerate(sizes)
         ]
         assert merge_counters(parts[0], *parts[1:]) == full
+
+
+PIN_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1] + [derive_seed(7, i) for i in range(1000)]
+
+
+def reference_pair_events(dist, n, seed):
+    """One fresh default_rng per chunk, seeded with derive_seed(seed, chunk)."""
+    p = np.asarray(dist.cells(), dtype=np.float64)
+    p = p / p.sum()
+    full, rest = divmod(n, mc.CHUNK_EMISSIONS)
+    sizes = [mc.CHUNK_EMISSIONS] * full + ([rest] if rest else [])
+    total = np.zeros(9, dtype=np.int64)
+    for idx, size in enumerate(sizes):
+        total += np.random.default_rng(derive_seed(seed, idx)).multinomial(size, p)
+    return CoincidenceCounters(n, *(int(c) for c in total))
+
+
+SOURCE_DISTS = {
+    "qm-ideal": qm.ideal_pair_probabilities(120.0),
+    "qm-real": qm.event_distribution(0.0, 120.0, GEOM_F1),
+    "lhv": lhv.pair_probabilities(lhv.FourAxisModel.uniform(), "a", "b"),
+}
+
+
+class TestSeedingMatchesNumpy:
+    def test_seed_words_match_seed_sequence(self):
+        words = mc._pcg64_seed_words(np.array(PIN_SEEDS, dtype=np.uint64))
+        for seed, row in zip(PIN_SEEDS, words):
+            expected = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+            assert row.tolist() == expected.tolist(), seed
+
+    def test_states_match_pcg64(self):
+        words = mc._pcg64_seed_words(np.array(PIN_SEEDS, dtype=np.uint64)).tolist()
+        for seed, row in zip(PIN_SEEDS, words):
+            assert mc._pcg64_state(*row) == np.random.PCG64(seed).state["state"], seed
+
+    def test_chunk_seeds_match_derive_seed(self):
+        for pair_seed in (0, -5, 2**64 - 1, derive_seed(3, 1)):
+            seeds = mc._chunk_seeds(pair_seed, 995, 1005).tolist()
+            assert seeds == [derive_seed(pair_seed, idx) for idx in range(995, 1005)]
+
+    @pytest.mark.parametrize("kind", sorted(SOURCE_DISTS))
+    @pytest.mark.parametrize("n", [
+        999,  # one short chunk
+        3 * mc.CHUNK_EMISSIONS + 12345,  # full chunks and a remainder
+        (mc._SEED_BLOCK + 1) * mc.CHUNK_EMISSIONS + 77,  # across a seed block
+    ])
+    def test_pair_events_match_fresh_generators(self, kind, n):
+        dist = SOURCE_DISTS[kind]
+        assert sample_pair_events(dist, n, seed=31) == reference_pair_events(dist, n, 31)
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_block_size_never_changes_counts(self, monkeypatch, block):
+        dist = SOURCE_DISTS["qm-real"]
+        n = 7 * mc.CHUNK_EMISSIONS + 5
+        baseline = sample_pair_events(dist, n, seed=12)
+        monkeypatch.setattr(mc, "_SEED_BLOCK", block)
+        assert sample_pair_events(dist, n, seed=12) == baseline
+
+    def test_sample_chunk_matches_fresh_generator(self):
+        dist = SOURCE_DISTS["qm-real"]
+        p = np.asarray(dist.cells(), dtype=np.float64)
+        p = p / p.sum()
+        for idx in (0, 1, 4096, 12345):
+            expected = np.random.default_rng(derive_seed(21, idx)).multinomial(500, p)
+            assert sample_chunk(dist, 21, idx, 500).tolist() == expected.tolist()
+
+    def test_seeding_mismatch_raises(self, monkeypatch):
+        monkeypatch.setattr(mc, "_PCG64_MULT", mc._PCG64_MULT + 2)
+        with pytest.raises(BellTestError, match="numpy's seeding"):
+            sample_pair_events(SOURCE_DISTS["qm-real"], 1000, seed=1)
+
+    def test_golden_counters_digest(self):
+        plan = real_plan(3 * mc.CHUNK_EMISSIONS + 12345, seed=2024)
+        digest = hashlib.sha256(counters_csv(run_experiment(plan)).encode("utf-8")).hexdigest()
+        assert digest == "e54f7c7ccc8842bb306992488e23fc6a269aaa0b439688646005b474c8398ae1"
 
 
 class TestCounters:
