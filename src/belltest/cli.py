@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
@@ -26,7 +27,9 @@ from .inequalities import (
     INEQUALITIES,
     MAX_REFINE_ROUNDS,
     MAX_STEP_DEG,
+    MAX_SURFACE_AXIS_POINTS,
     MIN_STEP_DEG,
+    MIN_SURFACE_STEP_DEG,
     InequalityReport,
     SettingsQuad,
     form_for,
@@ -259,6 +262,8 @@ def _cmd_mc(args: argparse.Namespace) -> int:
             inputs.update(eta=args.eta, phi_deg=args.phi, f_override=args.force_f)
         if args.source == "lhv":
             inputs["model"] = args.model
+        if not math.isfinite(estimated.sigma_distance):
+            fields["sigma_distance"] = None  # JSON has no infinity; margin keeps the sign
         _print_json({**fields, "inputs": inputs})
     return 0
 
@@ -287,6 +292,11 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     if not MIN_STEP_DEG <= args.step <= MAX_STEP_DEG:
         raise ValidationError(
             f"--step must be in [{MIN_STEP_DEG}, {MAX_STEP_DEG}], got {args.step}"
+        )
+    if args.surface is not None and args.step < MIN_SURFACE_STEP_DEG:
+        raise ValidationError(
+            f"--surface needs --step >= {MIN_SURFACE_STEP_DEG} (at most "
+            f"{MAX_SURFACE_AXIS_POINTS}^3 rows), got {args.step}"
         )
     if not 0 <= args.rounds <= MAX_REFINE_ROUNDS:
         raise ValidationError(

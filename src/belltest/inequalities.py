@@ -50,6 +50,12 @@ MAX_AXIS_POINTS = 2048
 MIN_STEP_DEG = 180.0 / MAX_AXIS_POINTS
 """Smallest grid step whose axis fits MAX_AXIS_POINTS."""
 
+MAX_SURFACE_AXIS_POINTS = 256
+"""Budget on grid values per axis for a written surface: n^3 = 2^24 rows, about 1 GB."""
+
+MIN_SURFACE_STEP_DEG = 180.0 / MAX_SURFACE_AXIS_POINTS
+"""Smallest grid step whose surface fits MAX_SURFACE_AXIS_POINTS per axis."""
+
 MAX_STEP_DEG = 45.0
 
 MAX_REFINE_ROUNDS = 64
@@ -412,32 +418,43 @@ def _detection_sym(quad: SettingsQuad, source: qm.RealSource) -> InequalityRepor
     )
 
 
+def _ternary_plane(source: qm.IdealSource) -> tuple[float, float]:
+    return 1.0, 0.0
+
+
+def _detection_plane(source: qm.RealSource) -> tuple[float, float]:
+    f = source.geometry.f_factor
+    return f, 1.0 - f
+
+
 @dataclass(frozen=True)
 class Form:
     """How one named inequality is evaluated from quantum closed forms.
 
     source is the qm source class whose predictions feed it. A symmetric
     form assumes its three cross pairs share one axis difference (see
-    require_symmetric); a scannable one is optimized by an angle scan.
-    evaluate(quad, source) does not check either condition.
+    require_symmetric). An angle scan optimizes the forms with a plane:
+    with b' = a' their primed-pair and singles terms are constants, and
+    plane(source) gives (scale, offset) with lhs = scale * (cos 2(a-b)
+    + cos 2(a'-a) + cos 2(b-a')) + offset. evaluate checks no condition.
     """
 
     source: type[qm.IdealSource] | type[qm.RealSource]
     symmetric: bool
-    scannable: bool
     evaluate: Callable[[SettingsQuad, Any], InequalityReport]
+    plane: Callable[[Any], tuple[float, float]] | None = None
 
 
 FORMS: dict[str, Form] = {
-    "ternary": Form(qm.IdealSource, symmetric=False, scannable=True, evaluate=_ternary),
-    "ternary-sym": Form(qm.IdealSource, symmetric=True, scannable=False, evaluate=_ternary_sym),
-    "bell65": Form(qm.IdealSource, symmetric=False, scannable=False, evaluate=_bell65),
-    "chsh": Form(qm.IdealSource, symmetric=False, scannable=False, evaluate=_chsh),
-    "detection": Form(qm.RealSource, symmetric=False, scannable=True, evaluate=_detection),
-    "detection-sym": Form(qm.RealSource, symmetric=True, scannable=False, evaluate=_detection_sym),
+    "ternary": Form(qm.IdealSource, symmetric=False, evaluate=_ternary, plane=_ternary_plane),
+    "ternary-sym": Form(qm.IdealSource, symmetric=True, evaluate=_ternary_sym),
+    "bell65": Form(qm.IdealSource, symmetric=False, evaluate=_bell65),
+    "chsh": Form(qm.IdealSource, symmetric=False, evaluate=_chsh),
+    "detection": Form(qm.RealSource, symmetric=False, evaluate=_detection, plane=_detection_plane),
+    "detection-sym": Form(qm.RealSource, symmetric=True, evaluate=_detection_sym),
 }
 
-INEQUALITIES = tuple(name for name, form in FORMS.items() if form.scannable)
+INEQUALITIES = tuple(name for name, form in FORMS.items() if form.plane is not None)
 """The forms an angle scan optimizes."""
 
 

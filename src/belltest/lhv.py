@@ -259,6 +259,9 @@ def mixture_functional(model: FourAxisModel) -> float:
 LOAD_SUM_TOL = 1e-6
 """Looser tolerance for file weights; accepted sums are renormalized."""
 
+MAX_MODEL_BYTES = 1 << 20
+"""Largest model file load_model reads (1 MiB); a full 81-line file is about 2 KB."""
+
 
 def save_model_text(model: FourAxisModel) -> str:
     lines = [
@@ -302,11 +305,16 @@ def load_model_text(text: str) -> FourAxisModel:
 
 
 def load_model(path: str | os.PathLike[str]) -> FourAxisModel:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            text = handle.read()
-        except UnicodeDecodeError as exc:
-            raise ModelFileError(f"{os.fspath(path)!r} is not UTF-8 text: {exc.reason}") from None
+    with open(path, "rb") as handle:
+        data = handle.read(MAX_MODEL_BYTES + 1)
+    if len(data) > MAX_MODEL_BYTES:
+        raise ModelFileError(
+            f"{os.fspath(path)!r} is larger than {MAX_MODEL_BYTES} bytes; a model file is 81 lines"
+        )
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ModelFileError(f"{os.fspath(path)!r} is not UTF-8 text: {exc.reason}") from None
     return load_model_text(text)
 
 

@@ -1,14 +1,17 @@
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import belltest
-from belltest import lhv, montecarlo, optimizer, qm
+from belltest import inequalities, lhv, montecarlo, optimizer, qm
 from belltest.cli import main
 from belltest.core import SinglesProbabilities, cos_double_angle
 from belltest.inequalities import (
@@ -313,6 +316,30 @@ class TestMc:
         assert code == 1
         assert "missing" in err
 
+    def test_infinite_sigma_distance_is_json_null(self, capsys):
+        # Zero spread at margin 4 puts sigma_distance at +infinity.
+        code, out, _ = run_cli(capsys, [
+            "mc", "--source", "qm-ideal", "--diffs", "0,0,0", "--pairs", "1000",
+        ])
+        assert code == 0
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        payload = json.loads(out, parse_constant=reject)
+        assert payload["std_error"] == 0.0
+        assert payload["margin"] == 4.0
+        assert payload["sigma_distance"] is None
+
+    def test_infinite_sigma_distance_stays_inf_in_csv(self, capsys):
+        code, out, _ = run_cli(capsys, [
+            "mc", "--source", "qm-ideal", "--diffs", "0,0,0", "--pairs", "1000",
+            "--format", "csv",
+        ])
+        assert code == 0
+        header, row = out.splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["sigma_distance"] == "inf"
+
 
 class TestScan:
     def test_coarse_scan(self, capsys):
@@ -362,9 +389,13 @@ class TestScan:
             qm.IdealSource() if argv[1] == "ternary"
             else qm.RealSource(qm.CascadeGeometry(eta=0.3, phi_deg=40.0))
         )
-        result = optimizer.grid_scan(argv[1], source, step_deg=22.5, refine_rounds=0,
-                                     collect_surface=True)
-        rows = [f"{a!r},{b!r},{ap!r},{bp!r},{lhs!r}" for a, b, ap, bp, lhs in result.surface]
+        axes, planes = optimizer.lhs_planes(argv[1], source, 22.5)
+        values = axes.tolist()
+        rows = [
+            f"{a!r},{b!r},{ap!r},{ap!r},{lhs!r}"
+            for a, plane in zip(values, planes)
+            for (b, ap), lhs in zip(product(values, repeat=2), plane.ravel().tolist())
+        ]
         expected = "\n".join(["a,b,a_prime,b_prime,lhs", *rows]) + "\n"
         assert surface.read_bytes() == expected.encode("utf-8")
 
@@ -374,6 +405,72 @@ class TestScan:
             "--step", "15", "--rounds", "3", "--force-F", "1",
         ])
         assert payload["best_lhs"] == pytest.approx(-1.5, abs=1e-4)
+
+    # SHA-256 of scan stdout (JSON, CSV) and of the --surface file, taken from
+    # the output before the scanned forms' plane formulas moved into FORMS.
+    # 13 degrees does not divide 180, so the a = 0 plane is an open step.
+    @pytest.mark.parametrize("ineq,source,step,rounds,json_sha,csv_sha,surface_sha", [
+        ("ternary", "qm-ideal", "15", "0",
+         "df78b90b530d897deee335e0a81d71c5f05d118509dde96a2003e02b950d70ae",
+         "7e38084863b101fd65de5b2882d126184efbe72d81df372ca6e26fb5f973abdb",
+         "1d06785900bf3754edfdcae0991b2728112c34346ba5baea6b8c32696de840d2"),
+        ("ternary", "qm-ideal", "15", "2",
+         "c8c24b7ffa95d37778e79b94724f1301462700e16ac4c97addee72ad47aab33f",
+         "7e38084863b101fd65de5b2882d126184efbe72d81df372ca6e26fb5f973abdb",
+         "1d06785900bf3754edfdcae0991b2728112c34346ba5baea6b8c32696de840d2"),
+        ("ternary", "qm-ideal", "13", "0",
+         "ff81aaf0ee44c3624b0fd53e14ad16c0a9acc9288c5b832226d672401f7e0dec",
+         "5e997312ee61dd52ddbc9fd4ad4335859b5bd687139264661dc25241046b83e9",
+         "9dc0aa462f39a84336d78db3c118d083e30f632e0d8bb25a16b0cc2ddb9b08fd"),
+        ("ternary", "qm-ideal", "13", "2",
+         "46f05f171f4422e1161418cc38dadfaf78d7dfcf5ba5837d09ee1d479fa06ff8",
+         "167515e535c03a87cad63ff4e56e777d4be4d9fdd47b5a049ecb4baef83db429",
+         "9dc0aa462f39a84336d78db3c118d083e30f632e0d8bb25a16b0cc2ddb9b08fd"),
+        ("detection", "qm-real", "15", "0",
+         "e206f023f1f0c08e565365054da118b7937d21930e8adf5c246847a1da2eb00e",
+         "bf61a930dd4714fe942bf2ce9fa65ae7ea8c17112c74db3d3ba7d4e08961eebe",
+         "4f805b01f05c80076d5cad7862e63c94b5f14db4f753243550bcbb5fb607ebcd"),
+        ("detection", "qm-real", "15", "2",
+         "f86d16fb59e38ee7a0e1dea31c018c24d19257086aa0f0e3b68fd5afd0a0f40c",
+         "bf61a930dd4714fe942bf2ce9fa65ae7ea8c17112c74db3d3ba7d4e08961eebe",
+         "4f805b01f05c80076d5cad7862e63c94b5f14db4f753243550bcbb5fb607ebcd"),
+        ("detection", "qm-real", "13", "0",
+         "c818fbba5f07ae20dc301f76537a017ba5f1dcbbae083396256af6f1f33904b1",
+         "2deb52771f78ca7b2b4debd696a0587a56b64f56b37789e637fee49a828861a4",
+         "d27447484863d150f774bf617c41ed81f35722cc6ea33904a4f443f3706e5b47"),
+        ("detection", "qm-real", "13", "2",
+         "d7737c8b08b55ea46a3c2f1abe715ee0e164421431dadb283eeecd85fd516aab",
+         "6918d40e3f0cdab7d57f1c225dcd2b70b31e123b2cae50183c733adb6430c2b3",
+         "d27447484863d150f774bf617c41ed81f35722cc6ea33904a4f443f3706e5b47"),
+    ])
+    def test_scan_bytes_are_pinned(self, capsys, tmp_path, ineq, source, step, rounds,
+                                   json_sha, csv_sha, surface_sha):
+        surface = tmp_path / "surface.csv"
+        argv = ["scan", "--ineq", ineq, "--source", source, "--step", step, "--rounds", rounds]
+        code, out, _ = run_cli(capsys, [*argv, "--surface", str(surface)])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == json_sha
+        assert hashlib.sha256(surface.read_bytes()).hexdigest() == surface_sha
+        code, out, _ = run_cli(capsys, [*argv, "--format", "csv"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == csv_sha
+
+    @pytest.mark.parametrize("step", [
+        "0.1", "0.5", repr(inequalities.MIN_SURFACE_STEP_DEG * (1.0 - 1e-9)),
+    ])
+    def test_surface_step_below_budget_rejected(self, capsys, tmp_path, step):
+        surface = tmp_path / "surface.csv"
+        code, out, err = run_cli(capsys, ["scan", "--step", step, "--surface", str(surface)])
+        assert code == 1
+        assert out == ""
+        assert "--surface" in json.loads(err)["error"]
+        assert not surface.exists()
+
+    def test_surface_budget(self):
+        assert inequalities.MAX_SURFACE_AXIS_POINTS ** 3 == 2 ** 24
+        # The smallest accepted step gives exactly the budgeted axis.
+        axis = np.arange(0.0, 180.0, inequalities.MIN_SURFACE_STEP_DEG)
+        assert axis.size == inequalities.MAX_SURFACE_AXIS_POINTS
 
 
 class TestErrorContract:
@@ -401,6 +498,14 @@ class TestErrorContract:
             ["mc", "--source", "lhv", "--model", str(path), "--pairs", "10"]
         )
         assert "UTF-8" in message
+
+    def test_oversized_model_file_gives_one_json_error(self, tmp_path):
+        path = tmp_path / "big.lhv"
+        path.write_bytes(b"#" * (lhv.MAX_MODEL_BYTES + 1))
+        message = self.assert_one_json_error(
+            ["mc", "--source", "lhv", "--model", str(path), "--pairs", "10"]
+        )
+        assert str(lhv.MAX_MODEL_BYTES) in message
 
     @staticmethod
     def assert_one_json_error(argv):

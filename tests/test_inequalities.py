@@ -12,6 +12,7 @@ from belltest.core import (
     cos_double_angle,
 )
 from belltest.inequalities import (
+    FORMS,
     SettingsQuad,
     bell_1965,
     chsh,
@@ -318,3 +319,30 @@ class TestQuadConstruction:
     def test_settings_quad_normalizes(self):
         quad = SettingsQuad.of(0.0, 120.0, 240.0, 240.0)
         assert quad.axes_degrees() == (0.0, 120.0, 60.0, 60.0)
+
+
+PLANE_SOURCES = {
+    qm.IdealSource: [qm.IdealSource()],
+    qm.RealSource: [
+        qm.RealSource(qm.CascadeGeometry(eta=0.3, phi_deg=40.0)),
+        qm.RealSource(GEOM_F1),
+    ],
+}
+
+
+class TestPlanes:
+    """A form's plane is its lhs with b' = a', as an affine function of the
+    three cross fringes; the scan's coarse phase trusts it."""
+
+    @pytest.mark.parametrize("name", [n for n, form in FORMS.items() if form.plane is not None])
+    def test_plane_matches_evaluator(self, name):
+        form = FORMS[name]
+        rng = np.random.default_rng(20240)
+        for source in PLANE_SOURCES[form.source]:
+            scale, offset = form.plane(source)
+            for a, b, ap in rng.uniform(-180.0, 360.0, size=(200, 3)):
+                quad = SettingsQuad.of(a, b, ap, ap)
+                fringes = (cos_double_angle(a - b) + cos_double_angle(ap - a)
+                           + cos_double_angle(b - ap))
+                expected = form.evaluate(quad, source).lhs
+                assert scale * fringes + offset == pytest.approx(expected, abs=1e-12)

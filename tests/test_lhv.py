@@ -246,6 +246,21 @@ class TestModelFiles:
         with pytest.raises(ModelFileError, match="UTF-8"):
             lhv.load_model(path)
 
+    def test_rejects_file_above_size_cap(self, tmp_path):
+        text = lhv.save_model_text(FourAxisModel.uniform())
+        path = tmp_path / "big.lhv"
+        path.write_bytes(text.encode() + b"#" * (lhv.MAX_MODEL_BYTES + 1 - len(text)))
+        assert path.stat().st_size == lhv.MAX_MODEL_BYTES + 1
+        with pytest.raises(ModelFileError, match="larger than"):
+            lhv.load_model(path)
+
+    def test_reads_file_at_size_cap(self, tmp_path):
+        text = lhv.save_model_text(FourAxisModel.uniform())
+        path = tmp_path / "padded.lhv"
+        path.write_bytes(text.encode() + b"#" * (lhv.MAX_MODEL_BYTES - len(text)))
+        assert path.stat().st_size == lhv.MAX_MODEL_BYTES
+        assert lhv.load_model(path) == lhv.load_model_text(text)
+
     def test_rejects_bad_sum(self):
         text = "\n".join(f"{s.key()} 0.5" for s in enumerate_assignments())
         with pytest.raises(ModelFileError, match="sum"):

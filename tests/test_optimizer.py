@@ -1,15 +1,28 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
 from belltest import optimizer, qm
 from belltest.core import ValidationError
-from belltest.inequalities import SettingsQuad, quad_from_differences
+from belltest.inequalities import FORMS, SettingsQuad, quad_from_differences
 from belltest.optimizer import grid_scan, objective
 
 IDEAL = qm.IdealSource()
 REAL_F1 = qm.RealSource(qm.CascadeGeometry(eta=0.2, phi_deg=30.0, f_override=1.0))
 
 TARGET_DIFFS = (120.0, 120.0, 120.0, 0.0)
+
+
+def _surface(inequality, source, step):
+    """Every (a, b, a', b', lhs) sample of the scan grid, planes in order."""
+    axes, planes = optimizer.lhs_planes(inequality, source, step)
+    values = axes.tolist()
+    return [
+        (a, b, ap, ap, lhs)
+        for a, plane in zip(values, planes)
+        for (b, ap), lhs in zip(product(values, repeat=2), plane.ravel().tolist())
+    ]
 
 
 def fold(diff):
@@ -76,9 +89,9 @@ class TestGridScan:
     @pytest.mark.parametrize("inequality,source", [("ternary", IDEAL), ("detection", REAL_F1)])
     def test_coarse_plane_matches_full_grid(self, step, inequality, source):
         # Brute force: the first minimum over all n^3 points, planes in order.
-        axes = np.arange(0.0, 180.0, step)
+        axes, planes = optimizer.lhs_planes(inequality, source, step)
         best_value, best_axes = np.inf, None
-        for a, plane in zip(axes, optimizer._fast_lhs_planes(axes, inequality, source)):
+        for a, plane in zip(axes, planes):
             j, k = divmod(int(np.argmin(plane)), axes.size)
             if plane[j, k] < best_value:
                 best_value, best_axes = plane[j, k], (a, axes[j], axes[k])
@@ -89,11 +102,11 @@ class TestGridScan:
         assert result.best_lhs == objective(expected, inequality, source)
 
     def test_coarse_scan_minimum_dominates_surface(self):
-        result = grid_scan("ternary", IDEAL, step_deg=45.0, refine_rounds=0,
-                           collect_surface=True)
-        assert result.surface
-        assert len(result.surface) == 4 ** 3
-        for *_, lhs in result.surface:
+        result = grid_scan("ternary", IDEAL, step_deg=45.0, refine_rounds=0)
+        surface = _surface("ternary", IDEAL, 45.0)
+        assert surface
+        assert len(surface) == 4 ** 3
+        for *_, lhs in surface:
             assert result.best_lhs <= lhs + 1e-12
 
     def test_deterministic(self):
@@ -102,16 +115,12 @@ class TestGridScan:
         assert first == second
 
     def test_surface_matches_scalar_objective(self):
-        result = grid_scan("ternary", IDEAL, step_deg=22.5, refine_rounds=0,
-                           collect_surface=True)
-        for a, b, ap, bp, lhs in result.surface:
+        for a, b, ap, bp, lhs in _surface("ternary", IDEAL, 22.5):
             scalar = objective(SettingsQuad.of(a, b, ap, bp), "ternary", IDEAL)
             assert lhs == pytest.approx(scalar, abs=1e-12)
 
     def test_detection_surface_matches_scalar_objective(self):
-        result = grid_scan("detection", REAL_F1, step_deg=22.5, refine_rounds=0,
-                           collect_surface=True)
-        for a, b, ap, bp, lhs in result.surface:
+        for a, b, ap, bp, lhs in _surface("detection", REAL_F1, 22.5):
             scalar = objective(SettingsQuad.of(a, b, ap, bp), "detection", REAL_F1)
             assert lhs == pytest.approx(scalar, abs=1e-12)
 
@@ -135,13 +144,34 @@ class TestGridScan:
         assert result.best_lhs >= -1.5 - 1e-9
 
 
+UNSCANNED = [name for name, form in FORMS.items() if form.plane is None]
+
+
+@pytest.mark.parametrize("name", UNSCANNED)
+class TestUnscannedFormsRefused:
+    @staticmethod
+    def source(name):
+        return IDEAL if FORMS[name].source is qm.IdealSource else REAL_F1
+
+    def test_objective(self, name):
+        with pytest.raises(ValidationError, match="cannot scan"):
+            objective(SettingsQuad.of(0, 120, 60, 60), name, self.source(name))
+
+    def test_lhs_planes(self, name):
+        with pytest.raises(ValidationError, match="cannot scan"):
+            optimizer.lhs_planes(name, self.source(name), 45.0)
+
+    def test_grid_scan(self, name):
+        with pytest.raises(ValidationError, match="cannot scan"):
+            grid_scan(name, self.source(name), step_deg=45.0, refine_rounds=0)
+
+
 class TestDenseOracle:
     def test_quarter_degree_grid_respects_global_minimum(self):
-        # Independent check of the -1.5 optimum claim: sweep a dense grid
+        # Independent check of the -1.5 optimum within b' = a': sweep a dense grid
         # with the vectorized path and confirm nothing dips below it.
-        axes = np.arange(0.0, 180.0, 0.25)
         global_min = np.inf
-        for plane in optimizer._fast_lhs_planes(axes, "ternary", IDEAL):
+        for plane in optimizer.lhs_planes("ternary", IDEAL, 0.25)[1]:
             global_min = min(global_min, float(plane.min()))
         assert global_min >= -1.5 - 1e-9
         assert global_min == pytest.approx(-1.5, abs=1e-6)
