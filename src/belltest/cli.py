@@ -21,7 +21,7 @@ import sys
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from . import lhv, qm
-from .core import BellTestError, ValidationError
+from .core import BellTestError, ValidationError, require_in_range
 from .inequalities import (
     FORMS,
     INEQUALITIES,
@@ -148,11 +148,12 @@ def _quad_echo(quad: SettingsQuad) -> dict[str, Any]:
 
 def _cmd_verify_theorem(args: argparse.Namespace) -> int:
     report = lhv.verify_theorem()
+    assignments = lhv.enumerate_assignments()
     payload = {
         "min_functional_value": report.min_functional_value,
         "all_satisfied": report.all_satisfied,
         "cases_match_expected": report.cases_match_expected,
-        "n_assignments": len(lhv.enumerate_assignments()),
+        "n_assignments": len(assignments),
         "tight_assignments": [s.key() for s in report.argmin_assignments],
         "case_bounds": [
             {
@@ -164,7 +165,7 @@ def _cmd_verify_theorem(args: argparse.Namespace) -> int:
             for case in report.case_bounds
         ],
         "functional_values": {
-            s.key(): lhv.bell_functional(s) for s in lhv.enumerate_assignments()
+            s.key(): value for s, value in zip(assignments, lhv.functional_values())
         },
     }
     _print_json(payload)
@@ -217,10 +218,7 @@ def _resolve_seed(args: argparse.Namespace) -> int:
 def _cmd_mc(args: argparse.Namespace) -> int:
     from . import montecarlo
 
-    if not 1 <= args.pairs <= montecarlo.MAX_PAIRS_PER_SETTING:
-        raise ValidationError(
-            f"--pairs must be in [1, {montecarlo.MAX_PAIRS_PER_SETTING}], got {args.pairs}"
-        )
+    require_in_range("--pairs", args.pairs, 1, montecarlo.MAX_PAIRS_PER_SETTING)
     if args.workers < 1:
         raise ValidationError(f"--workers must be >= 1, got {args.workers}")
     quad = _resolve_quad(args)
@@ -289,19 +287,13 @@ def _write_surface(path: str, axes: Iterable[float], planes: Iterable[Any]) -> N
 def _cmd_scan(args: argparse.Namespace) -> int:
     from . import optimizer
 
-    if not MIN_STEP_DEG <= args.step <= MAX_STEP_DEG:
-        raise ValidationError(
-            f"--step must be in [{MIN_STEP_DEG}, {MAX_STEP_DEG}], got {args.step}"
-        )
+    require_in_range("--step", args.step, MIN_STEP_DEG, MAX_STEP_DEG)
     if args.surface is not None and args.step < MIN_SURFACE_STEP_DEG:
         raise ValidationError(
             f"--surface needs --step >= {MIN_SURFACE_STEP_DEG} (at most "
             f"{MAX_SURFACE_AXIS_POINTS}^3 rows), got {args.step}"
         )
-    if not 0 <= args.rounds <= MAX_REFINE_ROUNDS:
-        raise ValidationError(
-            f"--rounds must be in [0, {MAX_REFINE_ROUNDS}], got {args.rounds}"
-        )
+    require_in_range("--rounds", args.rounds, 0, MAX_REFINE_ROUNDS)
     source = _resolve_source(args)
     result = optimizer.grid_scan(
         args.ineq,

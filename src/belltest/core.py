@@ -33,6 +33,19 @@ class UndefinedRatioError(BellTestError, ZeroDivisionError):
     """A normalizing total (coincidences or singles) is zero."""
 
 
+def require_in_range(
+    name: str, value: float, low: float, high: float, *, low_open: bool = False
+) -> None:
+    """Reject value unless low <= value <= high (low < value when low_open).
+
+    NaN fails both comparisons, so it is rejected too. The bounds are
+    printed as given: pass ints where the message should read (0, 1].
+    """
+    if not (low < value <= high if low_open else low <= value <= high):
+        bracket = "(" if low_open else "["
+        raise ValidationError(f"{name} must be in {bracket}{low}, {high}], got {value}")
+
+
 class Outcome(enum.IntEnum):
     """Ternary result of one photon meeting one two-channel polarizer."""
 

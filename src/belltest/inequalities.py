@@ -329,7 +329,14 @@ def excess_violation_ratio(factor_new: float, factor_ref: float) -> float:
     """How much farther one violation factor goes beyond no-violation.
 
     Defined as (factor_new - 1) / (factor_ref - 1); the 1.5-vs-sqrt(2)
-    comparison gives about 1.207, a violation roughly 20.7% larger.
+    comparison gives about 1.207. That is not "20.7% more violation":
+    the factor lhs / bound moves when a constant is added to an
+    inequality. The fringe threshold F*, the depolarization factor above
+    which a form is violated, does not. The detection form is 1 - 2.5 F
+    at the merged-primed 120-degree quad, so it needs F > 0.8, while
+    CHSH and the detection form at the free quad (0, 67.5, 135, 112.5),
+    1 - 2 sqrt(2) F, need only F > 1 / sqrt(2). By F* the merged-primed
+    configuration is less robust to fringe loss than CHSH, not more.
     """
     if factor_new < 1.0 or factor_ref < 1.0:
         raise ValidationError("violation factors are at least 1 by construction")

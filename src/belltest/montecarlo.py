@@ -25,6 +25,7 @@ from .core import (
     DetectionRates,
     EventDistribution,
     ValidationError,
+    require_in_range,
 )
 from .inequalities import InequalityReport, SettingsQuad, detection_inequality_symmetric
 
@@ -119,10 +120,7 @@ def merge_counters(*counters: CoincidenceCounters) -> CoincidenceCounters:
 
 def chunk_counts(n: int) -> tuple[int, ...]:
     """Chunk sizes for n emissions: full chunks plus one remainder."""
-    if not 1 <= n <= MAX_PAIRS_PER_SETTING:
-        raise ValidationError(
-            f"emission count must be in [1, {MAX_PAIRS_PER_SETTING}], got {n}"
-        )
+    require_in_range("emission count", n, 1, MAX_PAIRS_PER_SETTING)
     full, rest = divmod(n, CHUNK_EMISSIONS)
     return (CHUNK_EMISSIONS,) * full + ((rest,) if rest else ())
 
@@ -237,7 +235,7 @@ def _draw_chunks(
             yield generator.multinomial(size, p)
 
 
-def _cell_probabilities(dist: EventDistribution) -> np.ndarray:
+def _cell_probabilities(dist: EventDistribution | CoincidenceCounters) -> np.ndarray:
     p = np.asarray(dist.cells(), dtype=np.float64)
     return p / p.sum()
 
@@ -290,11 +288,7 @@ class RunPlan:
     source: Source
 
     def __post_init__(self) -> None:
-        if not 1 <= self.pairs_per_setting <= MAX_PAIRS_PER_SETTING:
-            raise ValidationError(
-                f"pairs_per_setting must be in [1, {MAX_PAIRS_PER_SETTING}], "
-                f"got {self.pairs_per_setting}"
-            )
+        require_in_range("pairs_per_setting", self.pairs_per_setting, 1, MAX_PAIRS_PER_SETTING)
 
 
 def distribution_for(source: Source, quad: SettingsQuad, label: str) -> EventDistribution:
@@ -444,10 +438,8 @@ def bootstrap_std_error(
 ) -> float:
     """Resampling cross-check of the first-order standard error."""
     rng = np.random.default_rng(derive_seed(seed, "bootstrap"))
-    p_cross = np.asarray(counters_cross.cells(), dtype=np.float64)
-    p_cross = p_cross / p_cross.sum()
-    p_primed = np.asarray(counters_primed.cells(), dtype=np.float64)
-    p_primed = p_primed / p_primed.sum()
+    p_cross = _cell_probabilities(counters_cross)
+    p_primed = _cell_probabilities(counters_primed)
     values = []
     for _ in range(resamples):
         draw_cross = CoincidenceCounters(

@@ -23,7 +23,7 @@ from typing import Iterator
 import numpy as np
 
 from . import qm
-from .core import ValidationError
+from .core import ValidationError, require_in_range
 from .inequalities import (  # noqa: F401 - the scan limits are re-exported
     INEQUALITIES,
     LOCAL_BOUND,
@@ -83,10 +83,7 @@ def lhs_planes(
     alive at a time, so memory stays O(n^2).
     """
     scale, offset = _scan_form(inequality, source).plane(source)
-    if not MIN_STEP_DEG <= step_deg <= MAX_STEP_DEG:
-        raise ValidationError(
-            f"step_deg must be in [{MIN_STEP_DEG!r}, {MAX_STEP_DEG!r}], got {step_deg!r}"
-        )
+    require_in_range("step_deg", step_deg, MIN_STEP_DEG, MAX_STEP_DEG)
     axes = np.arange(0.0, 180.0, float(step_deg))
 
     def planes() -> Iterator[np.ndarray]:
@@ -117,10 +114,7 @@ def grid_scan(
     lexicographically smallest quad.
     """
     axes, planes = lhs_planes(inequality, source, step_deg)
-    if not 0 <= refine_rounds <= MAX_REFINE_ROUNDS:
-        raise ValidationError(
-            f"refine_rounds must be in [0, {MAX_REFINE_ROUNDS}], got {refine_rounds}"
-        )
+    require_in_range("refine_rounds", refine_rounds, 0, MAX_REFINE_ROUNDS)
     j, k = divmod(int(np.argmin(next(planes))), axes.size)  # argmin keeps the first minimum
 
     b0, ap0 = float(axes[j]), float(axes[k])

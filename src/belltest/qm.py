@@ -24,10 +24,10 @@ from .core import (
     DetectionRates,
     EventDistribution,
     PairProbabilities,
-    ValidationError,
     cos_double_angle,
     degrees_of,
     normalize_degrees,
+    require_in_range,
 )
 
 
@@ -37,8 +37,7 @@ class InfeasibleModelError(BellTestError):
 
 def solid_angle(phi_deg: float) -> float:
     """Solid angle (steradians) subtended by a cone of half-aperture phi."""
-    if not 0.0 < phi_deg <= 180.0:
-        raise ValidationError(f"half-aperture must be in (0, 180] degrees, got {phi_deg!r}")
+    require_in_range("half-aperture", phi_deg, 0, 180, low_open=True)
     return 2.0 * math.pi * (1.0 - math.cos(math.radians(phi_deg)))
 
 
@@ -48,8 +47,7 @@ def angular_correlation(phi_deg: float) -> float:
     Equals 1.5 in the pointlike-detector limit and falls to 1 at a full
     hemisphere.
     """
-    if not 0.0 < phi_deg <= 90.0:
-        raise ValidationError(f"half-aperture must be in (0, 90] degrees, got {phi_deg!r}")
+    require_in_range("half-aperture", phi_deg, 0, 90, low_open=True)
     c = math.cos(math.radians(phi_deg))
     return 1.0 + 0.125 * c * c * (1.0 + c) ** 2
 
@@ -59,8 +57,7 @@ def depolarization_factor(phi_deg: float) -> float:
 
     Very close to 1 for realistic apertures; small-aperture form.
     """
-    if not 0.0 < phi_deg <= 90.0:
-        raise ValidationError(f"half-aperture must be in (0, 90] degrees, got {phi_deg!r}")
+    require_in_range("half-aperture", phi_deg, 0, 90, low_open=True)
     c = math.cos(math.radians(phi_deg))
     return 1.0 - (2.0 / 3.0) * (1.0 - c) ** 2
 
@@ -81,12 +78,10 @@ class CascadeGeometry:
     f_override: float | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.eta <= 1.0:
-            raise ValidationError(f"eta must be in (0, 1], got {self.eta!r}")
-        if not 0.0 < self.phi_deg <= 90.0:
-            raise ValidationError(f"phi_deg must be in (0, 90], got {self.phi_deg!r}")
-        if self.f_override is not None and not 0.0 <= self.f_override <= 1.0:
-            raise ValidationError(f"f_override must be in [0, 1], got {self.f_override!r}")
+        require_in_range("eta", self.eta, 0, 1, low_open=True)
+        require_in_range("phi_deg", self.phi_deg, 0, 90, low_open=True)
+        if self.f_override is not None:
+            require_in_range("f_override", self.f_override, 0, 1)
 
     @property
     def f_factor(self) -> float:

@@ -491,6 +491,61 @@ class TestErrorContract:
     def test_bad_input_gives_one_json_error(self, argv):
         self.assert_one_json_error(argv)
 
+    @pytest.mark.parametrize("argv, stderr", [
+        (["mc", "--pairs", "0"],
+         '{"error": "--pairs must be in [1, 1099511627776], got 0"}\n'),
+        (["mc", "--pairs", str(2**40 + 1)],
+         '{"error": "--pairs must be in [1, 1099511627776], got 1099511627777"}\n'),
+        (["mc", "--pairs", "-5"],
+         '{"error": "--pairs must be in [1, 1099511627776], got -5"}\n'),
+        (["scan", "--step", "60"],
+         '{"error": "--step must be in [0.087890625, 45.0], got 60.0"}\n'),
+        (["scan", "--step", "0.01"],
+         '{"error": "--step must be in [0.087890625, 45.0], got 0.01"}\n'),
+        (["scan", "--step", "nan"],
+         '{"error": "--step must be in [0.087890625, 45.0], got nan"}\n'),
+        (["scan", "--step", "inf"],
+         '{"error": "--step must be in [0.087890625, 45.0], got inf"}\n'),
+        (["scan", "--step", "-1"],
+         '{"error": "--step must be in [0.087890625, 45.0], got -1.0"}\n'),
+        (["scan", "--rounds", "65"],
+         '{"error": "--rounds must be in [0, 64], got 65"}\n'),
+        (["scan", "--rounds", "-1"],
+         '{"error": "--rounds must be in [0, 64], got -1"}\n'),
+        (["scan", "--rounds", str(10**8)],
+         '{"error": "--rounds must be in [0, 64], got 100000000"}\n'),
+        (["eval", "--ineq", "detection", "--source", "qm-real", "--eta", "0"],
+         '{"error": "eta must be in (0, 1], got 0.0"}\n'),
+        (["eval", "--ineq", "detection", "--source", "qm-real", "--eta", "1.5"],
+         '{"error": "eta must be in (0, 1], got 1.5"}\n'),
+        (["eval", "--ineq", "detection", "--source", "qm-real", "--eta", "nan"],
+         '{"error": "eta must be in (0, 1], got nan"}\n'),
+        (["eval", "--ineq", "detection", "--source", "qm-real", "--phi", "0"],
+         '{"error": "phi_deg must be in (0, 90], got 0.0"}\n'),
+        (["eval", "--ineq", "detection", "--source", "qm-real", "--phi", "90.5"],
+         '{"error": "phi_deg must be in (0, 90], got 90.5"}\n'),
+        (["eval", "--ineq", "detection", "--source", "qm-real", "--force-F", "1.5"],
+         '{"error": "f_override must be in [0, 1], got 1.5"}\n'),
+        (["eval", "--ineq", "detection", "--source", "qm-real", "--force-F", "-0.1"],
+         '{"error": "f_override must be in [0, 1], got -0.1"}\n'),
+        (["eval", "--ineq", "detection", "--source", "qm-real", "--force-F", "nan"],
+         '{"error": "f_override must be in [0, 1], got nan"}\n'),
+    ])
+    def test_out_of_range_error_text(self, capsys, argv, stderr):
+        assert run_cli(capsys, argv) == (1, "", stderr)
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--ineq", "detection", "--source", "qm-real", "--eta", "1"],
+        ["eval", "--ineq", "detection", "--source", "qm-real", "--phi", "90"],
+        ["eval", "--ineq", "detection", "--source", "qm-real", "--force-F", "0"],
+        ["eval", "--ineq", "detection", "--source", "qm-real", "--force-F", "1"],
+        ["scan", "--step", repr(optimizer.MIN_STEP_DEG), "--rounds", "0"],
+        ["scan", "--step", "45", "--rounds", "64"],
+        ["mc", "--pairs", "1", "--source", "qm-ideal", "--seed", "0"],
+    ])
+    def test_range_boundaries_still_run(self, capsys, argv):
+        run_json(capsys, argv)
+
     def test_non_utf8_model_file_gives_one_json_error(self, tmp_path):
         path = tmp_path / "latin1.lhv"
         path.write_bytes(b"\xff\xfe++++ 1.0\n")

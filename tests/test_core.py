@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from belltest import core, qm
+from belltest import core, montecarlo, optimizer, qm
 from belltest.core import (
     AngleDeg,
     DetectionRates,
@@ -13,6 +13,7 @@ from belltest.core import (
     UndefinedRatioError,
     ValidationError,
 )
+from belltest.inequalities import SettingsQuad
 
 GEOM_F1 = qm.CascadeGeometry(eta=0.2, phi_deg=30.0, f_override=1.0)
 
@@ -214,3 +215,107 @@ class TestNormalizeCoincidences:
         zero = DetectionRates(0, 0, 0, 0, 0.1, 0.1, 0.1, 0.1)
         with pytest.raises(UndefinedRatioError):
             core.normalize_coincidences(zero)
+
+
+def _above(x):
+    return math.nextafter(x, math.inf)
+
+
+def _below(x):
+    return math.nextafter(x, -math.inf)
+
+
+QUAD = SettingsQuad.of(0.0, 120.0, 240.0, 240.0)
+IDEAL = qm.IdealSource()
+NAN = math.nan
+PAIRS = "[1, 1099511627776]"
+STEP = "[0.087890625, 45.0]"
+
+RANGE_SITES = {
+    "chunk_counts": montecarlo.chunk_counts,
+    "RunPlan": lambda n: montecarlo.RunPlan(QUAD, n, 0, IDEAL),
+    "lhs_planes": lambda step: optimizer.lhs_planes("ternary", IDEAL, step),
+    "grid_scan": lambda rounds: optimizer.grid_scan("ternary", IDEAL, 45.0, rounds),
+    "eta": lambda eta: qm.CascadeGeometry(eta, 30.0),
+    "phi_deg": lambda phi: qm.CascadeGeometry(0.5, phi),
+    "f_override": lambda f: qm.CascadeGeometry(0.5, 30.0, f),
+    "solid_angle": qm.solid_angle,
+    "angular_correlation": qm.angular_correlation,
+    "depolarization_factor": qm.depolarization_factor,
+}
+
+
+class TestRangeRule:
+    """Every bounded library input goes through core.require_in_range: the
+    same bracket, wording and NaN rejection at each site."""
+
+    @pytest.mark.parametrize("site, value, message", [
+        ("chunk_counts", 0, f"emission count must be in {PAIRS}, got 0"),
+        ("chunk_counts", -5, f"emission count must be in {PAIRS}, got -5"),
+        ("chunk_counts", 2**40 + 1, f"emission count must be in {PAIRS}, got 1099511627777"),
+        ("chunk_counts", NAN, f"emission count must be in {PAIRS}, got nan"),
+        ("RunPlan", 0, f"pairs_per_setting must be in {PAIRS}, got 0"),
+        ("RunPlan", 2**40 + 1, f"pairs_per_setting must be in {PAIRS}, got 1099511627777"),
+        ("RunPlan", NAN, f"pairs_per_setting must be in {PAIRS}, got nan"),
+        ("lhs_planes", _below(optimizer.MIN_STEP_DEG),
+         f"step_deg must be in {STEP}, got 0.08789062499999999"),
+        ("lhs_planes", _above(45.0), f"step_deg must be in {STEP}, got 45.00000000000001"),
+        ("lhs_planes", NAN, f"step_deg must be in {STEP}, got nan"),
+        ("grid_scan", -1, "refine_rounds must be in [0, 64], got -1"),
+        ("grid_scan", 65, "refine_rounds must be in [0, 64], got 65"),
+        ("grid_scan", NAN, "refine_rounds must be in [0, 64], got nan"),
+        ("eta", 0.0, "eta must be in (0, 1], got 0.0"),
+        ("eta", _above(1.0), "eta must be in (0, 1], got 1.0000000000000002"),
+        ("eta", NAN, "eta must be in (0, 1], got nan"),
+        ("phi_deg", 0.0, "phi_deg must be in (0, 90], got 0.0"),
+        ("phi_deg", _above(90.0), "phi_deg must be in (0, 90], got 90.00000000000001"),
+        ("phi_deg", NAN, "phi_deg must be in (0, 90], got nan"),
+        ("f_override", _below(0.0), "f_override must be in [0, 1], got -5e-324"),
+        ("f_override", _above(1.0), "f_override must be in [0, 1], got 1.0000000000000002"),
+        ("f_override", NAN, "f_override must be in [0, 1], got nan"),
+        ("solid_angle", 0.0, "half-aperture must be in (0, 180], got 0.0"),
+        ("solid_angle", _above(180.0),
+         "half-aperture must be in (0, 180], got 180.00000000000003"),
+        ("solid_angle", NAN, "half-aperture must be in (0, 180], got nan"),
+        ("angular_correlation", 0.0, "half-aperture must be in (0, 90], got 0.0"),
+        ("angular_correlation", _above(90.0),
+         "half-aperture must be in (0, 90], got 90.00000000000001"),
+        ("angular_correlation", NAN, "half-aperture must be in (0, 90], got nan"),
+        ("depolarization_factor", 0.0, "half-aperture must be in (0, 90], got 0.0"),
+        ("depolarization_factor", _above(90.0),
+         "half-aperture must be in (0, 90], got 90.00000000000001"),
+        ("depolarization_factor", NAN, "half-aperture must be in (0, 90], got nan"),
+    ])
+    def test_outside_value_rejected_with_text(self, site, value, message):
+        with pytest.raises(ValidationError) as info:
+            RANGE_SITES[site](value)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("site, value", [
+        ("chunk_counts", 1),
+        ("RunPlan", 1),
+        ("RunPlan", 2**40),
+        ("lhs_planes", optimizer.MIN_STEP_DEG),
+        ("lhs_planes", 45.0),
+        ("grid_scan", 0),
+        ("grid_scan", 64),
+        ("eta", 1.0),
+        ("phi_deg", 90.0),
+        ("f_override", 0.0),
+        ("f_override", 1.0),
+        ("solid_angle", 180.0),
+        ("angular_correlation", 90.0),
+        ("depolarization_factor", 90.0),
+    ])
+    def test_boundary_value_accepted(self, site, value):
+        RANGE_SITES[site](value)
+
+    def test_numpy_scalar_prints_as_plain_number(self):
+        with pytest.raises(ValidationError, match=r"got 60\.0$"):
+            optimizer.lhs_planes("ternary", IDEAL, np.float64(60.0))
+
+    def test_checks_keep_their_order(self):
+        with pytest.raises(ValidationError, match="cannot scan inequality"):
+            optimizer.lhs_planes("chsh", IDEAL, NAN)
+        with pytest.raises(ValidationError, match="step_deg"):
+            optimizer.grid_scan("ternary", IDEAL, NAN, NAN)

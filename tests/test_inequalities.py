@@ -289,6 +289,32 @@ class TestExcessViolationRatio:
             excess_violation_ratio(0.5, 1.4)
 
 
+MERGED_QUAD = quad_from_differences(120, 120, 120, 0)
+FREE_QUAD = SettingsQuad.of(0.0, 67.5, 135.0, 112.5)
+
+
+class TestFringeThreshold:
+    """F*, the fringe factor above which a form is violated, is unchanged when
+    a constant is added to the inequality; lhs / bound is not."""
+
+    @pytest.mark.parametrize(
+        "quad, f, expected",
+        [
+            (MERGED_QUAD, 0.8, -1.0),  # 1 - 2.5 F: F* = 0.8
+            (MERGED_QUAD, 0.75, -0.875),
+            (FREE_QUAD, 1 / math.sqrt(2), -1.0),  # 1 - 2 sqrt(2) F: F* = 1 / sqrt(2), as CHSH
+            (FREE_QUAD, 0.75, 1 - 1.5 * math.sqrt(2)),
+        ],
+    )
+    def test_detection_lhs(self, quad, f, expected):
+        source = qm.RealSource(qm.CascadeGeometry(eta=0.2, phi_deg=30.0, f_override=f))
+        assert abs(FORMS["detection"].evaluate(quad, source).lhs - expected) <= 1e-12
+
+    def test_ternary_free_quad(self):
+        lhs = FORMS["ternary"].evaluate(FREE_QUAD, qm.IdealSource()).lhs
+        assert abs(lhs - (1 - 2 * math.sqrt(2))) <= 1e-12
+
+
 class TestQuadConstruction:
     def test_canonical_configuration(self):
         quad = quad_from_differences(120, 120, 120, 0)
