@@ -272,16 +272,39 @@ def _cmd_mc(args: argparse.Namespace) -> int:
 
 
 def _write_surface(path: str, axes: Iterable[float], planes: Iterable[Any]) -> None:
-    """Write the scan surface CSV one a-plane at a time, as planes arrive."""
+    """Write the scan surface CSV one a-plane at a time, as planes arrive.
+
+    Each plane's lhs values are reduced to their distinct bit patterns and
+    each pattern is formatted with repr once: equal bits give equal repr
+    (a float key would merge -0.0 with 0.0), so the bytes match per-row repr.
+    """
+    import numpy as np
+
     labels = [repr(value) for value in axes]
-    # ",b,a',b'," for every (b, a') cell, in the planes' row-major order
+    # a row is "a,b,a',b',lhs\n"; the plane's text alternates the cells
+    # ",b,a',b'," (row-major, as the planes) with "lhs\na", the lhs text
+    # followed by the next row's a, and drops the last, unneeded a
     cells = [f",{b},{ap},{ap}," for b in labels for ap in labels]
+    items: list[str] = [""] * (2 * len(cells))
+    items[0::2] = cells
+    text_of: dict[int, str] = {}  # bit pattern -> repr, shared by the planes
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("a,b,a_prime,b_prime,lhs\n")
         for a, plane in zip(labels, planes):
-            handle.write(
-                "".join([f"{a}{cell}{lhs!r}\n" for cell, lhs in zip(cells, plane.ravel().tolist())])
+            if len(text_of) > len(cells):
+                text_of.clear()  # O(n^2) memory even where planes share few values
+            bits, index = np.unique(plane.ravel().view(np.int64), return_inverse=True)
+            ends = np.array(
+                [
+                    f"{text_of.get(key) or text_of.setdefault(key, repr(value))}\n{a}"
+                    for key, value in zip(bits.tolist(), bits.view(np.float64).tolist())
+                ],
+                dtype=object,
             )
+            items[1::2] = ends[index].tolist()
+            items[-1] = items[-1][: -len(a)]
+            handle.write(a)
+            handle.write("".join(items))
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import belltest
-from belltest import inequalities, lhv, montecarlo, optimizer, qm
+from belltest import cli, inequalities, lhv, montecarlo, optimizer, qm
 from belltest.cli import main
 from belltest.core import SinglesProbabilities, cos_double_angle
 from belltest.inequalities import (
@@ -36,6 +36,16 @@ def run_json(capsys, argv):
     code, out, err = run_cli(capsys, argv)
     assert code == 0, f"stderr: {err}"
     return json.loads(out)
+
+
+def surface_reference(axes, planes):
+    """Surface CSV bytes with every number formatted by its own repr call."""
+    rows = [
+        f"{a!r},{b!r},{ap!r},{ap!r},{lhs!r}"
+        for a, plane in zip(axes, planes)
+        for (b, ap), lhs in zip(product(axes, repeat=2), plane.ravel().tolist())
+    ]
+    return ("\n".join(["a,b,a_prime,b_prime,lhs", *rows]) + "\n").encode("utf-8")
 
 
 class TestVerifyTheorem:
@@ -390,14 +400,7 @@ class TestScan:
             else qm.RealSource(qm.CascadeGeometry(eta=0.3, phi_deg=40.0))
         )
         axes, planes = optimizer.lhs_planes(argv[1], source, 22.5)
-        values = axes.tolist()
-        rows = [
-            f"{a!r},{b!r},{ap!r},{ap!r},{lhs!r}"
-            for a, plane in zip(values, planes)
-            for (b, ap), lhs in zip(product(values, repeat=2), plane.ravel().tolist())
-        ]
-        expected = "\n".join(["a,b,a_prime,b_prime,lhs", *rows]) + "\n"
-        assert surface.read_bytes() == expected.encode("utf-8")
+        assert surface.read_bytes() == surface_reference(axes.tolist(), planes)
 
     def test_detection_scan(self, capsys):
         payload = run_json(capsys, [
@@ -455,6 +458,35 @@ class TestScan:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == csv_sha
 
+    # SHA-256 of the --surface file, taken from the output of the per-row repr
+    # writer: step 2 is the benchmark surface; 7 and 11 do not divide 180.
+    @pytest.mark.parametrize("ineq,source,step,surface_sha", [
+        ("ternary", "qm-ideal", "2",
+         "02c74caa84efe38c7eb20454deaa8a2625e65ff1871fc4f450a204d41df7a5ba"),
+        ("ternary", "qm-ideal", "3",
+         "ce5311d7812798e772cbe33842459113345ae01fb04a9347fc551756858ab588"),
+        ("ternary", "qm-ideal", "7",
+         "b9d4dacaa56a956243b8ce0ead731cd7d3612a5311bfe4f6e1f5f8c8015f4c54"),
+        ("ternary", "qm-ideal", "11",
+         "701134cd32b4e08700a68741b1ab2ef3d72d56830159c8090a31e52e3bb630dd"),
+        ("detection", "qm-real", "2",
+         "fe82775004c38305304a822e7942c38eefd75d445ffbdcdf2fdc3e4fcd908404"),
+        ("detection", "qm-real", "3",
+         "b2d7f0d66b1164652519491855a28ef9b02b61265a4ccad077ebd39d9503072b"),
+        ("detection", "qm-real", "7",
+         "c1e090bbb22eb7bc9ae82694ce63d57aff74f2dc7078d3df373b2957f73b3654"),
+        ("detection", "qm-real", "11",
+         "331ee325b1f128a09131c248f2d47f1b3c03800d4ec4c13c12dc68d2491084bd"),
+    ])
+    def test_surface_bytes_are_pinned(self, capsys, tmp_path, ineq, source, step, surface_sha):
+        surface = tmp_path / "surface.csv"
+        code, _, _ = run_cli(capsys, [
+            "scan", "--ineq", ineq, "--source", source, "--step", step, "--rounds", "0",
+            "--surface", str(surface),
+        ])
+        assert code == 0
+        assert hashlib.sha256(surface.read_bytes()).hexdigest() == surface_sha
+
     @pytest.mark.parametrize("step", [
         "0.1", "0.5", repr(inequalities.MIN_SURFACE_STEP_DEG * (1.0 - 1e-9)),
     ])
@@ -471,6 +503,52 @@ class TestScan:
         # The smallest accepted step gives exactly the budgeted axis.
         axis = np.arange(0.0, 180.0, inequalities.MIN_SURFACE_STEP_DEG)
         assert axis.size == inequalities.MAX_SURFACE_AXIS_POINTS
+
+
+class TestWriteSurface:
+    """cli._write_surface on synthetic planes, against per-value repr."""
+
+    @staticmethod
+    def write(tmp_path, axes, planes):
+        path = tmp_path / "surface.csv"
+        cli._write_surface(str(path), axes, iter(planes))
+        return path.read_bytes()
+
+    def test_signed_zeros_and_special_values(self, tmp_path):
+        # 0.0 and -0.0 share a plane (and compare equal); both recur in the
+        # second plane; 5e-324 is the smallest subnormal
+        planes = [
+            np.array([[0.0, -0.0], [5e-324, 1e16]]),
+            np.array([[-1.5, 0.1 + 0.2], [-0.0, 0.0]]),
+        ]
+        expected = (
+            b"a,b,a_prime,b_prime,lhs\n"
+            b"0.0,0.0,0.0,0.0,0.0\n"
+            b"0.0,0.0,90.0,90.0,-0.0\n"
+            b"0.0,90.0,0.0,0.0,5e-324\n"
+            b"0.0,90.0,90.0,90.0,1e+16\n"
+            b"90.0,0.0,0.0,0.0,-1.5\n"
+            b"90.0,0.0,90.0,90.0,0.30000000000000004\n"
+            b"90.0,90.0,0.0,0.0,-0.0\n"
+            b"90.0,90.0,90.0,90.0,0.0\n"
+        )
+        assert surface_reference([0.0, 90.0], planes) == expected
+        assert self.write(tmp_path, [0.0, 90.0], planes) == expected
+
+    def test_one_by_one_grid(self, tmp_path):
+        expected = b"a,b,a_prime,b_prime,lhs\n45.0,45.0,45.0,45.0,-0.0\n"
+        assert self.write(tmp_path, [45.0], [np.array([[-0.0]])]) == expected
+
+    def test_values_shared_and_unshared_across_planes(self, tmp_path):
+        # more distinct values over the planes than one plane has cells
+        pool = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16,
+                         -1.5, 0.1 + 0.2, 1.0 / 3.0, -1e-300, 1.0, -1.0])
+        rng = np.random.default_rng(8)
+        axes = [0.0, 60.0, 120.0]
+        planes = [rng.choice(pool, size=(3, 3)) for _ in axes]
+        planes[2][0, :2] = [-0.0, 0.0]  # signed zeros side by side
+        assert len({value.tobytes() for plane in planes for value in plane.ravel()}) > 9
+        assert self.write(tmp_path, axes, planes) == surface_reference(axes, planes)
 
 
 class TestErrorContract:
@@ -620,12 +698,11 @@ class TestParsing:
             assert first == second
 
     def test_module_entry_point(self):
-        import subprocess
-        import sys
-
+        pythonpath = [str(Path(belltest.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
         result = subprocess.run(
             [sys.executable, "-m", "belltest", "verify-theorem"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert result.returncode == 0
         assert '"min_functional_value": -1' in result.stdout
