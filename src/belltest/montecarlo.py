@@ -11,6 +11,7 @@ mergeable in any order.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import math
 from dataclasses import dataclass
@@ -131,7 +132,7 @@ the same streams; this one keeps a block's Python objects near 300 KB."""
 
 # numpy's SeedSequence hash constants; NEP 19 keeps its seeding stable.
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
+_MASK64 = (1 << 64) - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
@@ -187,11 +188,62 @@ def _pcg64_seed_words(seeds: np.ndarray) -> np.ndarray:
     return np.stack(words, axis=1).astype("<u4").view("<u8")
 
 
-def _pcg64_state(w0: int, w1: int, w2: int, w3: int) -> dict[str, int]:
-    """The {"state", "inc"} that PCG64 sets from SeedSequence words w0..w3."""
-    # pcg64_set_seed: inc from words 2-3, then two LCG steps around words 0-1
-    inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
-    return {"state": ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _MASK128, "inc": inc}
+def _mulhi64(x: np.ndarray, c: np.uint64) -> np.ndarray:
+    """High 64 bits of each x * c, from 32-bit partial products."""
+    low, shift = np.uint64(_MASK32), np.uint64(32)
+    x0, x1 = x & low, x >> shift
+    c0, c1 = c & low, c >> shift
+    cross0, cross1 = x0 * c1, x1 * c0
+    carry = (((x0 * c0) >> shift) + (cross0 & low) + (cross1 & low)) >> shift
+    return x1 * c1 + (cross0 >> shift) + (cross1 >> shift) + carry
+
+
+def _pcg64_states(words: np.ndarray) -> np.ndarray:
+    """The (state, inc) that PCG64 sets from each row of SeedSequence words.
+
+    pcg64_set_seed in uint64 limbs: inc = (w2:w3) << 1 | 1 and state =
+    ((w0:w1) + inc) * _PCG64_MULT + inc mod 2**128, with the 128-bit product
+    built from 32-bit partial products. Returns an (n, 4) uint64 array of
+    (state low, state high, inc low, inc high).
+    """
+    w0, w1, w2, w3 = words.T
+    one = np.uint64(1)
+    mult_hi, mult_lo = (np.uint64(limb) for limb in divmod(_PCG64_MULT, 1 << 64))
+    inc_lo = (w3 << one) | one
+    inc_hi = (w2 << one) | (w3 >> np.uint64(63))
+    lo = w1 + inc_lo
+    hi = w0 + inc_hi + (lo < w1)
+    # (hi:lo) * mult mod 2**128: the cross term hi * mult_hi overflows away
+    hi = _mulhi64(lo, mult_lo) + lo * mult_hi + hi * mult_lo
+    lo = lo * mult_lo
+    state_lo = lo + inc_lo
+    state_hi = hi + inc_hi + (state_lo < lo)
+    return np.stack([state_lo, state_hi, inc_lo, inc_hi], axis=1)
+
+
+_WORD_ORDERS = ((0, 1, 2, 3), (1, 0, 3, 2))
+"""The _pcg64_states column held by each of pcg64_random_t's four uint64
+words: low-high with a native little-endian __uint128_t, high-low in numpy's
+emulated 128-bit struct (MSVC and other compilers without one)."""
+
+
+def _state_memory(bit_generator: np.random.PCG64) -> memoryview:
+    """Writable bytes of a PCG64's pcg64_random_t, its (state, inc) words."""
+    # state_address points at numpy's pcg64_state, whose first field is the
+    # pointer to the generator's pcg64_random_t.
+    address = ctypes.c_void_p.from_address(bit_generator.ctypes.state_address).value
+    return memoryview((ctypes.c_char * 32).from_address(address)).cast("B")
+
+
+def _word_order(memory: memoryview, seeded: dict[str, int]) -> list[int]:
+    """The _WORD_ORDERS entry matching the words numpy's own seeding wrote."""
+    limbs = [seeded["state"] & _MASK64, seeded["state"] >> 64,
+             seeded["inc"] & _MASK64, seeded["inc"] >> 64]
+    written = memory.cast("Q").tolist()
+    for order in _WORD_ORDERS:
+        if written == [limbs[column] for column in order]:
+            return list(order)
+    raise BellTestError("PCG64 state memory is in neither word order numpy uses")
 
 
 def _chunk_seeds(pair_seed: int, start: int, stop: int) -> np.ndarray:
@@ -212,26 +264,36 @@ def _draw_chunks(
     """Cell counts of chunks first, first+1, ... with the given sizes.
 
     Each chunk draws from the stream np.random.default_rng(derive_seed(
-    pair_seed, idx)) would start: its PCG64 state is derived in blocks and
-    set on one reused generator. The first chunk's state is checked
-    against numpy's own seeding, so a numpy that seeds differently stops
-    the run instead of changing its counters.
+    pair_seed, idx)) would start. Its PCG64 (state, inc) is computed in
+    blocks, in uint64 limbs, and its 32 bytes are written straight into the
+    state memory of one reused generator, in the word order that numpy's
+    own seeding of chunk `first` left there. After the first write the
+    generator's state is read back through `.state` and compared with
+    numpy's seeding, so a numpy that seeds or stores state differently
+    stops the run before any counts are drawn instead of changing them.
     """
     bit_generator = np.random.PCG64(derive_seed(pair_seed, first))
+    seeded = bit_generator.state["state"]
+    memory = _state_memory(bit_generator)
+    order = _word_order(memory, seeded)
+    # Step away from the seeded state, so the check below passes only if the
+    # first write lands in this generator. multinomial draws only 64-bit
+    # words, so the buffered uint32 (which .state would reset) stays empty.
+    bit_generator.random_raw()
     generator = np.random.Generator(bit_generator)
-    expected = bit_generator.state["state"]
-    state = {"bit_generator": "PCG64", "state": expected, "has_uint32": 0, "uinteger": 0}
     for offset in range(0, len(sizes), _SEED_BLOCK):
         block = sizes[offset:offset + _SEED_BLOCK]
         start = first + offset
-        words = _pcg64_seed_words(_chunk_seeds(pair_seed, start, start + len(block))).tolist()
-        if offset == 0 and _pcg64_state(*words[0]) != expected:
-            raise BellTestError(
-                f"derived PCG64 state of chunk {first} differs from numpy's seeding"
-            )
-        for chunk_words, size in zip(words, block):
-            state["state"] = _pcg64_state(*chunk_words)
-            bit_generator.state = state
+        words = _pcg64_seed_words(_chunk_seeds(pair_seed, start, start + len(block)))
+        states = _pcg64_states(words)[:, order].tobytes()
+        if offset == 0:
+            memory[:] = states[:32]
+            if bit_generator.state["state"] != seeded:
+                raise BellTestError(
+                    f"derived PCG64 state of chunk {first} differs from numpy's seeding"
+                )
+        for row, size in zip(range(0, len(states), 32), block):
+            memory[:] = states[row:row + 32]
             yield generator.multinomial(size, p)
 
 
@@ -388,6 +450,13 @@ def evaluate_symmetric_detection(
     treating each counter set as an independent multinomial. The
     detected-singles ratio group is identically 2 and contributes no
     variance.
+
+    The estimate bounds local models only under two assumptions, which
+    a local model need not meet: the three merged cross pairs share one
+    distribution, and the detected subensemble is a fair sample of the
+    emissions (Pearle 1970; Clauser and Horne 1974). The 50/50 mixture
+    of assignments ++00 and +-0- has mixture functional 0 but reads -3
+    here.
     """
     c_cross = counters_cross.coincidences
     c_primed = counters_primed.coincidences

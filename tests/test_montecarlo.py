@@ -6,7 +6,7 @@ import pytest
 
 from belltest import lhv, montecarlo as mc, qm
 from belltest.core import BellTestError, Outcome, ValidationError
-from belltest.inequalities import quad_from_differences
+from belltest.inequalities import FORMS, quad_from_differences
 from belltest.montecarlo import (
     CoincidenceCounters,
     InsufficientStatisticsError,
@@ -145,9 +145,11 @@ class TestSeedingMatchesNumpy:
             assert row.tolist() == expected.tolist(), seed
 
     def test_states_match_pcg64(self):
-        words = mc._pcg64_seed_words(np.array(PIN_SEEDS, dtype=np.uint64)).tolist()
-        for seed, row in zip(PIN_SEEDS, words):
-            assert mc._pcg64_state(*row) == np.random.PCG64(seed).state["state"], seed
+        words = mc._pcg64_seed_words(np.array(PIN_SEEDS, dtype=np.uint64))
+        states = mc._pcg64_states(words).tolist()
+        for seed, (state_lo, state_hi, inc_lo, inc_hi) in zip(PIN_SEEDS, states):
+            derived = {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo}
+            assert derived == np.random.PCG64(seed).state["state"], seed
 
     def test_chunk_seeds_match_derive_seed(self):
         for pair_seed in (0, -5, 2**64 - 1, derive_seed(3, 1)):
@@ -189,6 +191,37 @@ class TestSeedingMatchesNumpy:
         plan = real_plan(3 * mc.CHUNK_EMISSIONS + 12345, seed=2024)
         digest = hashlib.sha256(counters_csv(run_experiment(plan)).encode("utf-8")).hexdigest()
         assert digest == "e54f7c7ccc8842bb306992488e23fc6a269aaa0b439688646005b474c8398ae1"
+
+    def test_golden_counters_digest_across_seed_block(self):
+        plan = real_plan((mc._SEED_BLOCK + 1) * mc.CHUNK_EMISSIONS + 77, seed=2024)
+        digest = hashlib.sha256(counters_csv(run_experiment(plan)).encode("utf-8")).hexdigest()
+        assert digest == "6f24fdbe2b835f44d6ba712a235780f957c3aad8f5cf340e1b6b5b6e64f3ac10"
+
+    @pytest.mark.parametrize("order", [
+        (1, 0, 2, 3),  # state words swapped
+        (0, 1, 3, 2),  # inc words swapped
+        (1, 0, 3, 2),  # the other layout's order
+        (2, 3, 0, 1),  # state and inc swapped
+    ])
+    def test_misordered_state_write_raises(self, monkeypatch, order):
+        monkeypatch.setattr(mc, "_word_order", lambda memory, seeded: list(order))
+        chunks = mc._draw_chunks(mc._cell_probabilities(SOURCE_DISTS["qm-real"]), 1, 0, (10, 10))
+        with pytest.raises(BellTestError, match="numpy's seeding"):
+            next(chunks)  # raises before the first chunk's counts are drawn
+
+    def test_unknown_state_layout_raises(self, monkeypatch):
+        monkeypatch.setattr(mc, "_WORD_ORDERS", ((1, 0, 2, 3), (0, 1, 3, 2)))
+        chunks = mc._draw_chunks(mc._cell_probabilities(SOURCE_DISTS["qm-real"]), 1, 0, (10,))
+        with pytest.raises(BellTestError, match="word order"):
+            next(chunks)
+
+    def test_state_write_outside_the_generator_raises(self, monkeypatch):
+        # a copy of the generator's state bytes passes the layout check, but
+        # writes to it never reach the generator
+        real = mc._state_memory
+        monkeypatch.setattr(mc, "_state_memory", lambda bg: memoryview(bytearray(real(bg))))
+        with pytest.raises(BellTestError, match="numpy's seeding"):
+            sample_pair_events(SOURCE_DISTS["qm-real"], 1000, seed=1)
 
 
 class TestCounters:
@@ -310,6 +343,41 @@ class TestEvaluateSymmetricDetection:
         assert estimated.report.lhs == 3.0
         assert estimated.std_error == 0.0
         assert estimated.sigma_distance == math.inf
+
+    def test_two_vertex_local_model_fools_the_ratio_estimate(self):
+        # A local model: its per-emission functional satisfies the -1 bound,
+        # but it breaks the ratio estimate's assumptions (the merged cross
+        # pairs differ, and detection depends on the settings), so the
+        # estimate reads a "violation" at -3.
+        weights = [0.0] * 81
+        for key in ("++00", "+-0-"):
+            weights[lhv.assignment_index(lhv.DeterministicAssignment.from_key(key))] = 0.5
+        model = lhv.FourAxisModel(tuple(weights))
+        assert lhv.mixture_functional(model) == 0.0
+        plan = RunPlan(quad=QUAD, pairs_per_setting=100_000, seed=0, source=LhvSource(model))
+        results = run_experiment(plan)
+        cross = merge_counters(results["ab"], results["bpa"], results["bap"])
+        estimated = evaluate_symmetric_detection(cross, results["apbp"])
+        assert estimated.report.lhs == -3.0
+        assert estimated.report.violated
+        assert estimated.std_error == 0.0
+
+    def test_error_bars_are_calibrated(self):
+        # The default qm-real mc plan at n = 1e5 over seeds 0-999, fixed in
+        # advance: the delta-method error must cover the closed-form lhs as
+        # a standard error does.
+        source = qm.RealSource(qm.CascadeGeometry(eta=0.2, phi_deg=30.0))
+        exact = FORMS["detection-sym"].evaluate(QUAD, source).lhs
+        z_scores = []
+        for seed in range(1000):
+            plan = RunPlan(quad=QUAD, pairs_per_setting=100_000, seed=seed, source=source)
+            results = run_experiment(plan)
+            cross = merge_counters(results["ab"], results["bpa"], results["bap"])
+            estimated = evaluate_symmetric_detection(cross, results["apbp"])
+            z_scores.append((estimated.report.lhs - exact) / estimated.std_error)
+        z = np.asarray(z_scores)
+        assert 0.93 <= float(np.mean(np.abs(z) <= 2.0)) <= 0.98
+        assert 0.9 <= float(np.std(z, ddof=1)) <= 1.1
 
     def test_delta_error_matches_empirical_spread(self):
         values = []
