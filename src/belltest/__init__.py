@@ -13,7 +13,6 @@ attribute access (PEP 562), so ``belltest verify-theorem`` and
 
 from . import core, inequalities, lhv, qm
 from .core import (
-    AngleDeg,
     BellTestError,
     DetectionRates,
     EventDistribution,
@@ -29,7 +28,6 @@ from .lhv import DeterministicAssignment, FourAxisModel, TheoremReport
 __version__ = "0.1.0"
 
 __all__ = [
-    "AngleDeg",
     "BellTestError",
     "DetectionRates",
     "DeterministicAssignment",

@@ -1,4 +1,4 @@
-"""Ternary outcomes, polarizer angles, and the shared probability algebra.
+"""Ternary outcomes, polarizer axes, setting pairs, and the shared probability algebra.
 
 Everything downstream (local models, quantum predictions, inequalities,
 Monte Carlo) is built on the value types defined here. Outcomes are
@@ -71,7 +71,10 @@ OUTCOMES: tuple[Outcome, ...] = (Outcome.PLUS, Outcome.ZERO, Outcome.MINUS)
 
 def normalize_degrees(degrees: float) -> float:
     """Reduce a polarizer orientation to [0, 180); axes are pi-periodic."""
-    r = math.fmod(float(degrees), 180.0)
+    degrees = float(degrees)
+    if not math.isfinite(degrees):
+        raise ValidationError(f"angle must be finite, got {degrees!r}")
+    r = math.fmod(degrees, 180.0)
     if r < 0.0:
         r += 180.0
     if r >= 180.0:  # fmod round-off can land exactly on the period
@@ -88,30 +91,19 @@ def cos_double_angle(diff_deg: float) -> float:
     return math.cos(math.radians(2.0 * float(diff_deg)))
 
 
-@dataclass(frozen=True, order=True)
-class AngleDeg:
-    """Polarizer axis orientation in degrees, stored normalized to [0, 180)."""
-
-    degrees: float
-
-    def __post_init__(self) -> None:
-        degrees = float(self.degrees)
-        if not math.isfinite(degrees):
-            raise ValidationError(f"angle must be finite, got {degrees!r}")
-        object.__setattr__(self, "degrees", normalize_degrees(degrees))
-
-    @classmethod
-    def of(cls, value: "AngleDeg | float") -> "AngleDeg":
-        return value if isinstance(value, AngleDeg) else cls(float(value))
-
-
-def degrees_of(angle: AngleDeg | float) -> float:
-    """Degrees of an angle given either raw or as an AngleDeg."""
-    return AngleDeg.of(angle).degrees
-
-
 CELL_NAMES: tuple[str, ...] = ("pp", "pm", "mp", "mm", "pz", "zp", "mz", "zm", "zz")
 """Canonical cell order: p = +1, m = -1, z = 0; first letter is side 1."""
+
+PAIRS: dict[str, tuple[str, str]] = {
+    "ab": ("a", "b"),
+    "bpa": ("a", "b_prime"),
+    "bap": ("a_prime", "b"),
+    "apbp": ("a_prime", "b_prime"),
+}
+"""The four setting pairs in canonical order: label -> (side-1 axis, side-2 axis).
+
+Labels follow the paper's pairs (a,b), (b',a), (b,a'), (a',b'); axis names
+are the SettingsQuad and DeterministicAssignment field names."""
 
 _LETTER = {Outcome.PLUS: "p", Outcome.ZERO: "z", Outcome.MINUS: "m"}
 _LETTER_OUTCOME = {v: k for k, v in _LETTER.items()}

@@ -20,7 +20,7 @@ from typing import Any, Callable, Literal, Sequence
 
 from . import qm
 from .core import (
-    AngleDeg,
+    PAIRS,
     DetectionRates,
     PairProbabilities,
     SinglesProbabilities,
@@ -111,25 +111,31 @@ def _check_probability(name: str, value: float) -> float:
 
 @dataclass(frozen=True)
 class SettingsQuad:
-    """The four polarizer axes: a and a' on side 1, b and b' on side 2."""
+    """The four polarizer axes in degrees: a and a' on side 1, b and b' on side 2.
 
-    a: AngleDeg
-    b: AngleDeg
-    a_prime: AngleDeg
-    b_prime: AngleDeg
+    Each axis must be finite and is stored normalized to [0, 180).
+    """
+
+    a: float
+    b: float
+    a_prime: float
+    b_prime: float
+
+    def __post_init__(self) -> None:
+        for name in ("a", "b", "a_prime", "b_prime"):
+            object.__setattr__(self, name, normalize_degrees(getattr(self, name)))
 
     @classmethod
-    def of(
-        cls,
-        a: AngleDeg | float,
-        b: AngleDeg | float,
-        a_prime: AngleDeg | float,
-        b_prime: AngleDeg | float,
-    ) -> "SettingsQuad":
-        return cls(AngleDeg.of(a), AngleDeg.of(b), AngleDeg.of(a_prime), AngleDeg.of(b_prime))
+    def of(cls, a: float, b: float, a_prime: float, b_prime: float) -> "SettingsQuad":
+        """The constructor, under the name existing callers use."""
+        return cls(a, b, a_prime, b_prime)
 
     def axes_degrees(self) -> tuple[float, float, float, float]:
-        return (self.a.degrees, self.b.degrees, self.a_prime.degrees, self.b_prime.degrees)
+        return (self.a, self.b, self.a_prime, self.b_prime)
+
+    def pair_axes(self) -> tuple[tuple[float, float], ...]:
+        """(side-1, side-2) axes of each setting pair, in core.PAIRS order."""
+        return tuple((getattr(self, x1), getattr(self, x2)) for x1, x2 in PAIRS.values())
 
     def differences(self) -> tuple[float, float, float, float]:
         """Axis differences for the pairs (a,b), (b',a), (b,a'), (a',b')."""
@@ -354,15 +360,17 @@ _IDEAL_SINGLES = SinglesProbabilities(p_plus=0.5, p_zero=0.0, p_minus=0.5)
 """An ideal polarizer sends every photon to + or - with equal odds."""
 
 
-def _cross_correlations(quad: SettingsQuad) -> tuple[float, float, float]:
-    """Ideal correlations cos 2(x - y) at the cross pairs (a,b), (b',a), (b,a')."""
-    a, b, ap, bp = quad.axes_degrees()
-    return (cos_double_angle(a - b), cos_double_angle(bp - a), cos_double_angle(b - ap))
+def _correlations(quad: SettingsQuad) -> list[float]:
+    """Ideal correlations cos 2(x1 - x2) at the four pairs, in core.PAIRS order.
+
+    The first three are the cross pairs, the last the primed pair (a',b').
+    """
+    return [cos_double_angle(x1 - x2) for x1, x2 in quad.pair_axes()]
 
 
 def require_symmetric(quad: SettingsQuad, what: str) -> None:
     """Reject a quad whose three cross pairs do not share one fringe value."""
-    c1, c2, c3 = _cross_correlations(quad)
+    c1, c2, c3, _ = _correlations(quad)
     if max(abs(c1 - c2), abs(c1 - c3)) > 1e-9:
         raise ValidationError(
             f"{what} assumes one shared cross difference; use --diffs d,d,d[,d4]"
@@ -370,49 +378,42 @@ def require_symmetric(quad: SettingsQuad, what: str) -> None:
 
 
 def _ternary(quad: SettingsQuad, source: qm.IdealSource) -> InequalityReport:
-    _, _, ap, bp = quad.axes_degrees()
+    *cross, _ = _correlations(quad)
+    ap, bp = quad.pair_axes()[-1]
     return ternary_inequality(
-        *_cross_correlations(quad), qm.ideal_pair_probabilities(ap - bp),
+        *cross, qm.ideal_pair_probabilities(ap - bp),
         _IDEAL_SINGLES, _IDEAL_SINGLES,
     )
 
 
 def _ternary_sym(quad: SettingsQuad, source: qm.IdealSource) -> InequalityReport:
-    _, _, ap, bp = quad.axes_degrees()
+    ap, bp = quad.pair_axes()[-1]
     pair = qm.ideal_pair_probabilities(ap - bp)
-    e_cross = _cross_correlations(quad)[0]
+    e_cross = _correlations(quad)[0]
     return ternary_inequality_symmetric(e_cross, pair.pp, pair.mm, (0.5, 0.5, 0.5, 0.5))
 
 
 def _bell65(quad: SettingsQuad, source: qm.IdealSource) -> InequalityReport:
-    return bell_1965(*_cross_correlations(quad))
+    return bell_1965(*_correlations(quad)[:3])
 
 
 def _chsh(quad: SettingsQuad, source: qm.IdealSource) -> InequalityReport:
-    _, _, ap, bp = quad.axes_degrees()
-    return chsh(*_cross_correlations(quad), cos_double_angle(ap - bp))
+    return chsh(*_correlations(quad))
 
 
 def _detection(quad: SettingsQuad, source: qm.RealSource) -> InequalityReport:
-    a, b, ap, bp = quad.axes_degrees()
     geom = source.geometry
     single = geom.single_rate
-    return detection_inequality(
-        rates_ab=qm.detection_rates(a, b, geom),
-        rates_bpa=qm.detection_rates(a, bp, geom),
-        rates_bap=qm.detection_rates(ap, b, geom),
-        rates_apbp=qm.detection_rates(ap, bp, geom),
-        singles_ap=(single, single),
-        singles_bp=(single, single),
-    )
+    rates = [qm.detection_rates(x1, x2, geom) for x1, x2 in quad.pair_axes()]
+    return detection_inequality(*rates, singles_ap=(single, single), singles_bp=(single, single))
 
 
 def _detection_sym(quad: SettingsQuad, source: qm.RealSource) -> InequalityReport:
-    a, b, ap, bp = quad.axes_degrees()
+    cross_axes, *_, primed_axes = quad.pair_axes()
     geom = source.geometry
     single = geom.single_rate
-    cross = qm.detection_rates(a, b, geom)
-    primed = qm.detection_rates(ap, bp, geom)
+    cross = qm.detection_rates(*cross_axes, geom)
+    primed = qm.detection_rates(*primed_axes, geom)
     return detection_inequality_symmetric(
         e_cross=detection_expectation(cross),
         total_cross=coincidence_total(cross),

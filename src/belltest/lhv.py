@@ -16,11 +16,11 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
-from typing import Literal
 
 from .core import (
     CELL_NAMES,
     CELL_OUTCOMES,
+    PAIRS,
     SUM_TOL,
     BellTestError,
     Outcome,
@@ -35,10 +35,6 @@ TIGHT_TOL = 1e-12
 
 class ModelFileError(BellTestError, ValueError):
     """A four-axis model file is malformed or inconsistent."""
-
-
-Side1 = Literal["a", "a_prime"]
-Side2 = Literal["b", "b_prime"]
 
 
 @dataclass(frozen=True, order=True)
@@ -128,19 +124,18 @@ def random_model(seed: int) -> FourAxisModel:
     return FourAxisModel(tuple(float(w) for w in raw))
 
 
-_SELECT_1 = {"a": lambda s: s.a, "a_prime": lambda s: s.a_prime}
-_SELECT_2 = {"b": lambda s: s.b, "b_prime": lambda s: s.b_prime}
+def pair_probabilities(model: FourAxisModel, side1: str, side2: str) -> PairProbabilities:
+    """Marginalize a model onto one setting pair's nine-cell distribution.
 
-
-def pair_probabilities(model: FourAxisModel, side1: Side1, side2: Side2) -> PairProbabilities:
-    """Marginalize a model onto one setting pair's nine-cell distribution."""
-    try:
-        pick1, pick2 = _SELECT_1[side1], _SELECT_2[side2]
-    except KeyError as exc:
-        raise ValidationError(f"unknown side selector {exc.args[0]!r}") from None
+    (side1, side2) names the pair's axes as one of the core.PAIRS values.
+    """
+    if (side1, side2) not in PAIRS.values():
+        raise ValidationError(
+            f"unknown setting pair {(side1, side2)!r}; expected one of {tuple(PAIRS.values())}"
+        )
     cells = dict.fromkeys(CELL_OUTCOMES, 0.0)
     for assignment, weight in zip(enumerate_assignments(), model.weights):
-        cells[(pick1(assignment), pick2(assignment))] += weight
+        cells[(getattr(assignment, side1), getattr(assignment, side2))] += weight
     return PairProbabilities(**{name: cells[o] for name, o in zip(CELL_NAMES, CELL_OUTCOMES)})
 
 

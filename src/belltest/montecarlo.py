@@ -22,8 +22,8 @@ import numpy as np
 from . import lhv, qm
 from .core import (
     CELL_NAMES,
+    PAIRS,
     BellTestError,
-    DetectionRates,
     EventDistribution,
     ValidationError,
     require_in_range,
@@ -37,15 +37,8 @@ MAX_PAIRS_PER_SETTING = 1 << 40
 """Most emissions one setting pair may draw: 2**20 chunks, so a plan's chunk
 layout stays an 8 MiB tuple. Larger counts are rejected before any sampling."""
 
-PAIR_LABELS: tuple[str, ...] = ("ab", "bpa", "bap", "apbp")
-"""The four setting pairs a run measures, in canonical order."""
-
-_PAIR_AXES = {
-    "ab": ("a", "b"),
-    "bpa": ("a", "b_prime"),
-    "bap": ("a_prime", "b"),
-    "apbp": ("a_prime", "b_prime"),
-}
+PAIR_LABELS: tuple[str, ...] = tuple(PAIRS)
+"""The four setting pairs a run measures, in core.PAIRS order."""
 
 
 class InsufficientStatisticsError(BellTestError):
@@ -105,18 +98,13 @@ class CoincidenceCounters:
     def side2_minus(self) -> int:
         return self.pm + self.mm + self.zm
 
-    def combine(self, other: "CoincidenceCounters") -> "CoincidenceCounters":
-        merged = [x + y for x, y in zip(self.cells(), other.cells())]
-        return CoincidenceCounters(self.n_emitted + other.n_emitted, *merged)
-
 
 def merge_counters(*counters: CoincidenceCounters) -> CoincidenceCounters:
+    """Cell-by-cell sum of counter sets (setting pairs, chunks or partitions)."""
     if not counters:
         raise ValidationError("nothing to merge")
-    merged = counters[0]
-    for extra in counters[1:]:
-        merged = merged.combine(extra)
-    return merged
+    cells = (sum(column) for column in zip(*(c.cells() for c in counters)))
+    return CoincidenceCounters(sum(c.n_emitted for c in counters), *cells)
 
 
 def chunk_counts(n: int) -> tuple[int, ...]:
@@ -355,15 +343,14 @@ class RunPlan:
 
 def distribution_for(source: Source, quad: SettingsQuad, label: str) -> EventDistribution:
     """Per-emission event distribution of a source at one setting pair."""
-    attr1, attr2 = _PAIR_AXES[label]
+    side1, side2 = PAIRS[label]
+    x1, x2 = getattr(quad, side1), getattr(quad, side2)
     if isinstance(source, qm.IdealSource):
-        x1 = getattr(quad, attr1).degrees
-        x2 = getattr(quad, attr2).degrees
         return qm.ideal_pair_probabilities(x1 - x2)
     if isinstance(source, qm.RealSource):
-        return qm.event_distribution(getattr(quad, attr1), getattr(quad, attr2), source.geometry)
+        return qm.event_distribution(x1, x2, source.geometry)
     if isinstance(source, LhvSource):
-        return lhv.pair_probabilities(source.model, attr1, attr2)
+        return lhv.pair_probabilities(source.model, side1, side2)
     raise ValidationError(f"unknown source type {type(source).__name__}")
 
 
@@ -377,42 +364,6 @@ def run_experiment(plan: RunPlan, workers: int = 1) -> dict[str, CoincidenceCoun
             dist, plan.pairs_per_setting, pair_seed, workers=workers
         )
     return results
-
-
-@dataclass(frozen=True)
-class RateStdErrors:
-    """Binomial standard errors matching DetectionRates field for field."""
-
-    d_pp: float
-    d_pm: float
-    d_mp: float
-    d_mm: float
-    d_plus_1: float
-    d_minus_1: float
-    d_plus_2: float
-    d_minus_2: float
-
-
-def estimate_rates(counters: CoincidenceCounters) -> tuple[DetectionRates, RateStdErrors]:
-    """Frequency estimates of the detection rates with binomial errors."""
-    if counters.n_emitted < 1:
-        raise ValidationError("need at least one emission to estimate rates")
-    n = counters.n_emitted
-
-    def portion(count: int) -> tuple[float, float]:
-        p = count / n
-        return p, math.sqrt(p * (1.0 - p) / n)
-
-    values = {}
-    errors = {}
-    for field, count in (
-        ("d_pp", counters.pp), ("d_pm", counters.pm),
-        ("d_mp", counters.mp), ("d_mm", counters.mm),
-        ("d_plus_1", counters.side1_plus), ("d_minus_1", counters.side1_minus),
-        ("d_plus_2", counters.side2_plus), ("d_minus_2", counters.side2_minus),
-    ):
-        values[field], errors[field] = portion(count)
-    return DetectionRates(**values), RateStdErrors(**errors)
 
 
 @dataclass(frozen=True)

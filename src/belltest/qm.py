@@ -19,13 +19,11 @@ from typing import ClassVar
 
 from .core import (
     CELL_TOL,
-    AngleDeg,
     BellTestError,
     DetectionRates,
     EventDistribution,
     PairProbabilities,
     cos_double_angle,
-    degrees_of,
     normalize_degrees,
     require_in_range,
 )
@@ -111,7 +109,7 @@ def ideal_pair_probabilities(theta_diff_deg: float) -> PairProbabilities:
     return PairProbabilities(pp=like, pm=unlike, mp=unlike, mm=like)
 
 
-def detection_rates(a: AngleDeg | float, b: AngleDeg | float, geom: CascadeGeometry) -> DetectionRates:
+def detection_rates(a: float, b: float, geom: CascadeGeometry) -> DetectionRates:
     """Measurable singles and coincidence rates at polarizer axes a and b.
 
     Each single is eta * Omega / (8 pi). Coincidences share the factor
@@ -121,9 +119,9 @@ def detection_rates(a: AngleDeg | float, b: AngleDeg | float, geom: CascadeGeome
     """
     single = geom.single_rate
     shared = single * single * angular_correlation(geom.phi_deg)
-    # Reduce the axis difference to its canonical branch first, so rates
-    # at rigidly rotated axes are identical to the last bit.
-    diff = normalize_degrees(degrees_of(a) - degrees_of(b))
+    # Normalize each axis, then their difference, so rates at rigidly
+    # rotated axes are identical to the last bit.
+    diff = normalize_degrees(normalize_degrees(a) - normalize_degrees(b))
     fringe = geom.f_factor * cos_double_angle(diff)
     like = shared * (1.0 + fringe)
     unlike = shared * (1.0 - fringe)
@@ -144,7 +142,7 @@ def predict_singles_total(geom: CascadeGeometry) -> float:
     return geom.eta * solid_angle(geom.phi_deg) / (4.0 * math.pi)
 
 
-def event_distribution(a: AngleDeg | float, b: AngleDeg | float, geom: CascadeGeometry) -> EventDistribution:
+def event_distribution(a: float, b: float, geom: CascadeGeometry) -> EventDistribution:
     """Per-emission sample space completing the measurable rates.
 
     The four detected-coincidence cells equal the closed-form doubles.

@@ -5,7 +5,6 @@ import pytest
 
 from belltest import core, montecarlo, optimizer, qm
 from belltest.core import (
-    AngleDeg,
     DetectionRates,
     Outcome,
     PairProbabilities,
@@ -52,16 +51,17 @@ class TestAngles:
     def test_tiny_negative_does_not_land_on_period(self):
         assert core.normalize_degrees(-1e-16) < 180.0
 
-    def test_angle_deg_normalizes(self):
-        assert AngleDeg(240.0).degrees == 60.0
-        assert AngleDeg(-30.0).degrees == 150.0
-        assert core.degrees_of(240.0) == 60.0
-        assert core.degrees_of(AngleDeg(10.0)) == 10.0
+    def test_settings_quad_normalizes(self):
+        quad = SettingsQuad(240.0, -30.0, 10.0, 180.0)
+        assert quad.axes_degrees() == (60.0, 150.0, 10.0, 0.0)
+        assert all(type(x) is float for x in quad.axes_degrees())
+        assert SettingsQuad.of(240, -30, 10, 180) == quad
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_angle_rejected(self, value):
-        with pytest.raises(ValidationError, match="finite"):
-            AngleDeg(value)
+        for axes in ((value, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, value)):
+            with pytest.raises(ValidationError, match=f"angle must be finite, got {value!r}"):
+                SettingsQuad(*axes)
 
 
 class TestPairProbabilities:

@@ -96,8 +96,11 @@ class TestPairProbabilities:
                 assert cell == pytest.approx(1.0 / 9.0, abs=1e-12)
 
     def test_bad_selector(self):
-        with pytest.raises(ValidationError):
-            pair_probabilities(FourAxisModel.uniform(), "c", "b")
+        # Only the core.PAIRS axis pairs exist: a same-side or swapped pair is
+        # rejected like an unknown axis name.
+        for side1, side2 in (("c", "b"), ("a", "a_prime"), ("b", "a")):
+            with pytest.raises(ValidationError, match="unknown setting pair"):
+                pair_probabilities(FourAxisModel.uniform(), side1, side2)
 
     def test_no_signaling(self):
         model = random_model(5)

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from belltest import lhv, montecarlo as mc, qm
+from belltest import core, lhv, montecarlo as mc, qm
 from belltest.core import BellTestError, Outcome, ValidationError
-from belltest.inequalities import FORMS, quad_from_differences
+from belltest.inequalities import FORMS, SettingsQuad, quad_from_differences
 from belltest.montecarlo import (
     CoincidenceCounters,
     InsufficientStatisticsError,
@@ -15,7 +15,6 @@ from belltest.montecarlo import (
     chunk_counts,
     counters_csv,
     derive_seed,
-    estimate_rates,
     evaluate_symmetric_detection,
     merge_counters,
     run_experiment,
@@ -242,18 +241,7 @@ class TestCounters:
         assert counters.side2_minus == 14
 
 
-class TestEstimateRates:
-    def test_binomial_errors(self):
-        counters = CoincidenceCounters(n_emitted=1000, pp=250, zz=750)
-        rates, errors = estimate_rates(counters)
-        assert rates.d_pp == 0.25
-        assert errors.d_pp == pytest.approx(0.013693063937629153, rel=1e-12)
-
-    def test_all_missed(self):
-        rates, errors = estimate_rates(point_mass_counters(500))
-        assert rates.d_pp == rates.d_plus_1 == 0.0
-        assert errors.d_pp == 0.0
-
+class TestMergeCounters:
     def test_halves_merge_to_whole(self):
         dist = qm.event_distribution(0.0, 120.0, GEOM_F1)
         n = 2 * mc.CHUNK_EMISSIONS
@@ -263,8 +251,24 @@ class TestEstimateRates:
             CoincidenceCounters(size, *(int(x) for x in sample_chunk(dist, 77, idx, size)))
             for idx, size in enumerate(sizes)
         ]
-        merged = merge_counters(*halves)
-        assert estimate_rates(merged) == estimate_rates(full)
+        assert merge_counters(*halves) == full
+
+
+class TestPairOrder:
+    def test_labels_are_core_pairs(self):
+        assert mc.PAIR_LABELS == tuple(core.PAIRS)
+
+    def test_run_and_csv_follow_pair_order(self):
+        results = run_experiment(real_plan(1_000, seed=0))
+        assert tuple(results) == tuple(core.PAIRS)
+        rows = counters_csv(results).splitlines()[1:]
+        assert [row.split(",")[0] for row in rows[::9]] == list(core.PAIRS)
+
+    def test_ideal_distribution_reads_the_pair_axes(self):
+        quad = SettingsQuad.of(-30.0, 400.0, 12.25, 179.99)
+        for label, (x1, x2) in zip(core.PAIRS, quad.pair_axes()):
+            dist = mc.distribution_for(qm.IdealSource(), quad, label)
+            assert dist == qm.ideal_pair_probabilities(x1 - x2)
 
 
 class TestRunExperiment:

@@ -8,6 +8,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from belltest import lhv, qm  # noqa: E402
+from belltest.core import normalize_degrees  # noqa: E402
 from belltest.inequalities import (  # noqa: E402
     FORMS,
     SettingsQuad,
@@ -49,14 +50,25 @@ def test_rigid_rotation_keeps_lhs(name, data, theta, geom):
 
 
 @settings(max_examples=200, deadline=None)
+@given(axes=st.tuples(angles, angles, angles, angles))
+def test_differences_follow_the_pair_axes(axes):
+    # differences() keeps each label's sign: (a,b) and (a',b') subtract the
+    # side-2 axis, (b',a) and (b,a') the side-1 axis.
+    quad = SettingsQuad.of(*axes)
+    assert quad.differences() == tuple(
+        normalize_degrees(sign * (x1 - x2))
+        for sign, (x1, x2) in zip((1.0, -1.0, -1.0, 1.0), quad.pair_axes())
+    )
+
+
+@settings(max_examples=200, deadline=None)
 @given(
     axes=st.tuples(angles, angles, angles, angles),
     geom=geometries,
     scale=st.floats(min_value=1e-6, max_value=1e6),
 )
 def test_detection_forms_ignore_a_common_rate_scale(axes, geom, scale):
-    a, b, ap, bp = axes
-    rates = [qm.detection_rates(x, y, geom) for x, y in ((a, b), (a, bp), (ap, b), (ap, bp))]
+    rates = [qm.detection_rates(x, y, geom) for x, y in SettingsQuad.of(*axes).pair_axes()]
     scaled = [r.scaled(scale) for r in rates]
 
     def general(rs):
