@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
@@ -438,10 +439,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_VALUE_LIST_FLAGS = ("--angles", "--diffs")
+_NEGATIVE_LIST = re.compile(r"-[0-9.]")
+
+
+def _attach_negative_lists(argv: Sequence[str]) -> list[str]:
+    """Rewrite "--angles -30,400,..." as "--angles=-30,400,...".
+
+    argparse takes a value that starts with "-" for an option unless it is
+    a single number, so a value list led by a negative number needs the
+    "=" form; this gives it that form for --angles and --diffs.
+    """
+    tokens: list[str] = []
+    for token in argv:
+        if tokens and tokens[-1] in _VALUE_LIST_FLAGS and _NEGATIVE_LIST.match(token):
+            tokens[-1] += "=" + token
+        else:
+            tokens.append(token)
+    return tokens
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_lists(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

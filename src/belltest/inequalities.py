@@ -62,7 +62,7 @@ MAX_REFINE_ROUNDS = 64
 """Most refinement rounds a scan runs. Each round halves the search span, so
 after 64 rounds even a MAX_STEP_DEG span is below 2.5e-18 degrees, far under
 the float spacing of angles near 180 (2.8e-14): further rounds cannot move
-the incumbent and only cost 125 objective calls each."""
+the incumbent and only cost 25 objective calls each."""
 
 
 @dataclass(frozen=True)
@@ -160,18 +160,20 @@ def quad_from_differences(
     """
     if not all(math.isfinite(d) for d in (d1, d2, d3, d4)):
         raise ValidationError(f"differences must be finite, got ({d1}, {d2}, {d3}, {d4})")
+    too_large = f"differences ({d1}, {d2}, {d3}, {d4}) are too large to realize"
     a = 0.0
     b = float(d1)
-    target = math.cos(math.radians(2.0 * float(d4)))
+    doubled_d4 = 2.0 * float(d4)
+    if not math.isfinite(doubled_d4):
+        raise ValidationError(too_large)
+    target = math.cos(math.radians(doubled_d4))
     for bp_sign in (1.0, -1.0):
         for ap_sign in (1.0, -1.0):
             bp = bp_sign * float(d2)
             ap = b + ap_sign * float(d3)
             doubled = 2.0 * (ap - bp)
             if not math.isfinite(doubled):
-                raise ValidationError(
-                    f"differences ({d1}, {d2}, {d3}, {d4}) are too large to realize"
-                )
+                raise ValidationError(too_large)
             if abs(math.cos(math.radians(doubled)) - target) <= 1e-9:
                 return SettingsQuad.of(a, b, ap, bp)
     raise ValidationError(

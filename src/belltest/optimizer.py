@@ -6,12 +6,13 @@ coplanar polarizer axes. The scan optimizes within that slice, whose
 optimum is -1.5. Free quads go further, to 1 - 2 sqrt(2) for the
 ternary form at axes (0, 67.5, 135, 112.5), in line with Tsirelson's
 bound for CHSH. Every scanned form depends on the axes only through
-their differences, so the coarse phase sweeps just the a = 0 plane of
-the grid (n^2 points, not n^3) with each form's plane formula; a
-derivative-free coordinate refinement then halves the step around the
-incumbent, re-scoring candidates with the exact scalar evaluator so
-both computation paths stay honest. lhs_planes streams the full n^3
-surface one a-plane at a time in O(n^2) memory.
+their differences, so the scan holds a = 0 and searches (b, a'): the
+coarse phase sweeps the a = 0 plane of the grid (n^2 points, not n^3)
+with each form's plane formula, and a derivative-free coordinate
+refinement then halves the step around the incumbent in (b, a'),
+re-scoring candidates with the exact scalar evaluator so both
+computation paths stay honest. lhs_planes streams the full n^3 surface
+one a-plane at a time in O(n^2) memory.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from . import qm
 from .core import ValidationError, require_in_range
 from .inequalities import (  # noqa: F401 - the scan limits are re-exported
     INEQUALITIES,
-    LOCAL_BOUND,
     MAX_AXIS_POINTS,
     MAX_REFINE_ROUNDS,
     MAX_STEP_DEG,
@@ -104,45 +104,40 @@ def grid_scan(
 ) -> ScanResult:
     """Minimize the inequality lhs over feasible quads.
 
-    The coarse phase scores only the a = 0 plane of the (a, b, a') grid
-    over [0, 180) at step_deg: rotating all axes together leaves every
-    form unchanged, so when 180 / step_deg is an integer that plane holds
-    the optimum of the whole grid. refine_rounds rounds of coordinate
-    refinement follow, each halving the step and re-scoring a local
-    5x5x5 neighborhood in (a, b, a') with the scalar objective;
-    refine_rounds is at most MAX_REFINE_ROUNDS. Ties break toward the
-    lexicographically smallest quad.
+    Rotating all axes together leaves every form unchanged, so the scan
+    holds a = 0 and searches (b, a') with b' = a'. The coarse phase scores
+    the a = 0 plane of the grid over [0, 180) at step_deg; when
+    180 / step_deg is an integer that plane holds the optimum of the whole
+    (a, b, a') grid. refine_rounds rounds of coordinate refinement follow,
+    each halving the step and re-scoring a local 5x5 neighborhood in
+    (b, a') with the scalar objective; refine_rounds is at most
+    MAX_REFINE_ROUNDS. Ties break toward the smallest normalized (b, a').
     """
     axes, planes = lhs_planes(inequality, source, step_deg)
     require_in_range("refine_rounds", refine_rounds, 0, MAX_REFINE_ROUNDS)
     j, k = divmod(int(np.argmin(next(planes))), axes.size)  # argmin keeps the first minimum
 
-    b0, ap0 = float(axes[j]), float(axes[k])
     # From here on everything goes through the scalar evaluator so that
     # the reported optimum is consistent with objective().
-    best_axes = (0.0, b0, ap0)
-    best_lhs = objective(SettingsQuad.of(0.0, b0, ap0, ap0), inequality, source)
+    best_quad = SettingsQuad.of(0.0, float(axes[j]), float(axes[k]), float(axes[k]))
+    best_key = (objective(best_quad, inequality, source), best_quad.b, best_quad.a_prime)
 
     span = float(step_deg)
     for _ in range(refine_rounds):
         span /= 2.0
         offsets = (-2.0 * span, -span, 0.0, span, 2.0 * span)
-        center = best_axes
-        for da, db, dap in product(offsets, repeat=3):
-            quad = SettingsQuad.of(center[0] + da, center[1] + db,
-                                   center[2] + dap, center[2] + dap)
-            normalized = quad.axes_degrees()[:3]
-            value = objective(quad, inequality, source)
-            if (value, normalized) < (best_lhs, best_axes):
-                best_lhs = value
-                best_axes = normalized
+        center = best_quad
+        for db, dap in product(offsets, repeat=2):
+            ap = center.a_prime + dap
+            quad = SettingsQuad.of(0.0, center.b + db, ap, ap)
+            key = (objective(quad, inequality, source), quad.b, quad.a_prime)
+            if key < best_key:
+                best_quad, best_key = quad, key
 
-    best_quad = SettingsQuad.of(best_axes[0], best_axes[1], best_axes[2], best_axes[2])
-    ratio = best_lhs / LOCAL_BOUND
-    factor = ratio if ratio > 1.0 else 1.0
+    report = _scan_form(inequality, source).evaluate(best_quad, source)
     return ScanResult(
         best_quad=best_quad,
-        best_lhs=best_lhs,
-        best_factor=factor,
+        best_lhs=report.lhs,
+        best_factor=report.violation_factor,
         best_diffs=best_quad.differences(),
     )

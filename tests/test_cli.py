@@ -565,6 +565,7 @@ class TestErrorContract:
         ["scan", "--step", "45", "--rounds", "100000000"],
         ["eval", "--ineq", "ternary", "--diffs", "1e308,120,120"],
         ["mc", "--diffs", "1e308,120,120"],
+        ["eval", "--ineq", "ternary", "--diffs=1,1,1,1e308"],
     ])
     def test_bad_input_gives_one_json_error(self, argv):
         self.assert_one_json_error(argv)
@@ -668,6 +669,8 @@ class TestParsing:
         (["eval", "--ineq", "ternary", "--bogus"], "--bogus"),
         ([], "command"),
         (["frobnicate"], "frobnicate"),
+        (["eval", "--ineq", "ternary", "--angles", "--format", "csv"],
+         "--angles: expected one argument"),
     ])
     def test_usage_error_is_one_json_line(self, capsys, argv, needle):
         code, out, err = run_cli(capsys, argv)
@@ -687,6 +690,13 @@ class TestParsing:
         code, _, err = run_cli(capsys, ["eval", "--ineq", "ternary", "--angles", "1,2"])
         assert code == 1
         assert "--angles" in err
+
+    def test_value_list_may_start_with_minus(self, capsys):
+        spaced = run_cli(capsys, ["eval", "--ineq", "ternary", "--diffs", "-120,-120,-120"])
+        joined = run_cli(capsys, ["eval", "--ineq", "ternary", "--diffs=-120,-120,-120"])
+        assert spaced == joined
+        assert spaced[0] == 0
+        assert json.loads(spaced[1])["inputs"]["quad"]["b"] == 60.0
 
     def test_eval_and_scan_byte_stable(self, capsys):
         for argv in (

@@ -53,6 +53,14 @@ def test_eval_stdout_is_pinned(capsys, ineq, source, angles, fmt, digest):
     assert sha256(capsys.readouterr().out) == digest
 
 
+def test_negative_angles_after_a_space_match_the_pin(capsys):
+    argv = ["eval", "--ineq", "detection", *REAL, "--angles", "-30,400,12.25,179.99"]
+    assert main(argv) == 0
+    assert sha256(capsys.readouterr().out) == (
+        "c23cf3290548cd08c8e550fb37a9b5d676826dd410645d62a28beb205b1cfa58"
+    )
+
+
 def test_mc_manifest_is_pinned(capsys, tmp_path):
     manifest = tmp_path / "manifest.txt"
     argv = ["mc", *REAL, SYMMETRIC, "--pairs", "200000", "--seed", "5",

@@ -337,6 +337,7 @@ class TestQuadConstruction:
 
     @pytest.mark.parametrize("diffs", [
         (1e308, 120, 120, 0), (1.7e308, 1.7e308, -1.7e308, 0), (120, -1e308, 1e308, 0),
+        (1.0, 1.0, 1.0, 1e308),
     ])
     def test_overflowing_differences_rejected(self, diffs):
         with pytest.raises(ValidationError, match="too large"):

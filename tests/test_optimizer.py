@@ -144,6 +144,42 @@ class TestGridScan:
         assert result.best_lhs >= -1.5 - 1e-9
 
 
+REAL = qm.RealSource(qm.CascadeGeometry(eta=0.2, phi_deg=30.0))
+REAL_OPTIMUM = 1.0 - 2.5 * REAL.geometry.f_factor
+"""The detection form's optimum within b' = a' at F < 1."""
+
+
+class TestRefinementAtAZero:
+    @pytest.mark.parametrize("rounds", [0, 1, 6])
+    def test_scores_25_quads_a_round(self, monkeypatch, rounds):
+        scored = []
+
+        def counting(quad, *args):
+            scored.append(quad)
+            return objective(quad, *args)
+
+        monkeypatch.setattr(optimizer, "objective", counting)
+        grid_scan("ternary", IDEAL, step_deg=15.0, refine_rounds=rounds)
+        assert len(scored) == 1 + 25 * rounds
+        assert all(q.a == 0.0 and q.b_prime == q.a_prime for q in scored)
+
+    @pytest.mark.parametrize("inequality,source,step,rounds,optimum,tol", [
+        ("ternary", IDEAL, 45.0, 64, -1.5, 1e-12),
+        ("ternary", IDEAL, 13.7, 20, -1.5, 1e-12),
+        ("detection", REAL, 0.7, 20, REAL_OPTIMUM, 1e-12),
+        # six rounds leave a span of 0.7 / 64 degrees, so lhs is still ~2e-8 above
+        ("detection", REAL, 0.7, 6, REAL_OPTIMUM, 1e-7),
+    ], ids=["ternary-45-r64", "ternary-13.7-r20", "detection-0.7-r20", "detection-0.7-r6"])
+    def test_reports_a_zero_at_the_slice_optimum(self, inequality, source, step, rounds,
+                                                 optimum, tol):
+        result = grid_scan(inequality, source, step_deg=step, refine_rounds=rounds)
+        assert result.best_quad.a == 0.0
+        assert result.best_quad.b_prime == result.best_quad.a_prime
+        assert optimum - 1e-12 <= result.best_lhs <= optimum + tol
+        report = FORMS[inequality].evaluate(result.best_quad, source)
+        assert (result.best_lhs, result.best_factor) == (report.lhs, report.violation_factor)
+
+
 UNSCANNED = [name for name, form in FORMS.items() if form.plane is None]
 
 

@@ -7,7 +7,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from belltest import lhv, qm  # noqa: E402
+from belltest import lhv, optimizer, qm  # noqa: E402
 from belltest.core import normalize_degrees  # noqa: E402
 from belltest.inequalities import (  # noqa: E402
     FORMS,
@@ -47,6 +47,17 @@ def test_rigid_rotation_keeps_lhs(name, data, theta, geom):
     lhs = form.evaluate(SettingsQuad.of(*axes), source).lhs
     rotated = form.evaluate(SettingsQuad.of(*(x + theta for x in axes)), source).lhs
     assert rotated == pytest.approx(lhs, abs=1e-9)
+
+
+@pytest.mark.parametrize("name", ["ternary", "detection"])
+@settings(max_examples=200, deadline=None)
+@given(axes=st.tuples(angles, angles, angles, angles), theta=angles, geom=geometries)
+def test_scan_objective_ignores_a_common_rotation(name, axes, theta, geom):
+    # The invariance that lets a scan hold a = 0 in every phase.
+    source = qm.IdealSource() if FORMS[name].source is qm.IdealSource else qm.RealSource(geom)
+    lhs = optimizer.objective(SettingsQuad.of(*axes), name, source)
+    rotated = optimizer.objective(SettingsQuad.of(*(x + theta for x in axes)), name, source)
+    assert rotated == pytest.approx(lhs, abs=1e-12)
 
 
 @settings(max_examples=200, deadline=None)
