@@ -18,7 +18,8 @@ SUM_TOL = 1e-9
 """Absolute tolerance on probability sums (closed-form inputs are exact)."""
 
 CELL_TOL = 1e-12
-"""Slack granted to individual cells for floating-point round-off."""
+"""Round-off slack for detection rates (DetectionRates, singles_total,
+qm.complete_detection_rates); distribution cells get none."""
 
 
 class BellTestError(Exception):
@@ -44,6 +45,19 @@ def require_in_range(
     if not (low < value <= high if low_open else low <= value <= high):
         bracket = "(" if low_open else "["
         raise ValidationError(f"{name} must be in {bracket}{low}, {high}], got {value}")
+
+
+def require_distribution(what: str, names: tuple[str, ...], cells: tuple[float, ...]) -> None:
+    """Reject cells unless each is finite and >= 0 and all sum to 1 within SUM_TOL.
+
+    No per-cell upper bound: each cell is then <= 1 + SUM_TOL, so marginals pass too.
+    """
+    for name, value in zip(names, cells):
+        if not 0.0 <= value < math.inf:  # NaN fails the comparison too
+            raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
+    total = math.fsum(cells)
+    if abs(total - 1.0) > SUM_TOL:
+        raise ValidationError(f"{what} sum to {total!r}, expected 1")
 
 
 class Outcome(enum.IntEnum):
@@ -107,6 +121,7 @@ are the SettingsQuad and DeterministicAssignment field names."""
 
 _LETTER = {Outcome.PLUS: "p", Outcome.ZERO: "z", Outcome.MINUS: "m"}
 _LETTER_OUTCOME = {v: k for k, v in _LETTER.items()}
+_CELL_LABELS = tuple(f"cell {name}" for name in CELL_NAMES)
 
 CELL_OUTCOMES: tuple[tuple[Outcome, Outcome], ...] = tuple(
     (_LETTER_OUTCOME[name[0]], _LETTER_OUTCOME[name[1]]) for name in CELL_NAMES
@@ -136,13 +151,7 @@ class PairProbabilities:
     zz: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in CELL_NAMES:
-            value = getattr(self, name)
-            if not (-CELL_TOL <= value <= 1.0 + CELL_TOL):
-                raise ValidationError(f"cell {name} out of [0, 1]: {value!r}")
-        total = math.fsum(self.cells())
-        if abs(total - 1.0) > SUM_TOL:
-            raise ValidationError(f"cells sum to {total!r}, expected 1")
+        require_distribution("cells", _CELL_LABELS, self.cells())
 
     def cells(self) -> tuple[float, ...]:
         return tuple(getattr(self, name) for name in CELL_NAMES)
@@ -165,13 +174,8 @@ class SinglesProbabilities:
     p_minus: float
 
     def __post_init__(self) -> None:
-        for name in ("p_plus", "p_zero", "p_minus"):
-            value = getattr(self, name)
-            if not (-CELL_TOL <= value <= 1.0 + CELL_TOL):
-                raise ValidationError(f"{name} out of [0, 1]: {value!r}")
-        total = math.fsum((self.p_plus, self.p_zero, self.p_minus))
-        if abs(total - 1.0) > SUM_TOL:
-            raise ValidationError(f"singles sum to {total!r}, expected 1")
+        cells = (self.p_plus, self.p_zero, self.p_minus)
+        require_distribution("singles", ("p_plus", "p_zero", "p_minus"), cells)
 
 
 @dataclass(frozen=True)

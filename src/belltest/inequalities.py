@@ -236,7 +236,11 @@ def ternary_inequality_symmetric(
 
 
 def bell_1965(e_ab: float, e_bpa: float, e_apb: float) -> InequalityReport:
-    """Bell's original 1965 inequality: sum of three correlations >= -1."""
+    """Bell's original 1965 inequality: sum of three correlations >= -1.
+
+    The -1 is not a local bound: it assumes perfect correlation at equal
+    primed axes, and the local vertices ++-- and --++ (a, a', b, b') reach -3.
+    """
     lhs = math.fsum(
         (
             _check_expectation("e_ab", e_ab),

@@ -21,16 +21,13 @@ from .core import (
     CELL_NAMES,
     CELL_OUTCOMES,
     PAIRS,
-    SUM_TOL,
     BellTestError,
     Outcome,
     OUTCOMES,
     PairProbabilities,
     ValidationError,
+    require_distribution,
 )
-
-TIGHT_TOL = 1e-12
-"""Slack around the -1 bound when classifying float-valued mixtures."""
 
 
 class ModelFileError(BellTestError, ValueError):
@@ -93,12 +90,7 @@ class FourAxisModel:
     def __post_init__(self) -> None:
         if len(self.weights) != 81:
             raise ValidationError(f"expected 81 weights, got {len(self.weights)}")
-        for w in self.weights:
-            if not (w >= 0.0) or not math.isfinite(w):
-                raise ValidationError(f"weights must be finite and >= 0, got {w!r}")
-        total = math.fsum(self.weights)
-        if abs(total - 1.0) > SUM_TOL:
-            raise ValidationError(f"weights sum to {total!r}, expected 1")
+        require_distribution("weights", ("weights",) * 81, self.weights)
 
     def weight(self, assignment: DeterministicAssignment) -> float:
         return self.weights[assignment_index(assignment)]
@@ -231,7 +223,7 @@ def verify_theorem() -> TheoremReport:
         min_functional_value=minimum,
         argmin_assignments=argmins,
         case_bounds=tuple(cases),
-        all_satisfied=minimum >= -1 - TIGHT_TOL,
+        all_satisfied=minimum >= -1,
     )
 
 

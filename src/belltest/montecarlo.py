@@ -413,10 +413,9 @@ def evaluate_symmetric_detection(
     c_primed = counters_primed.coincidences
     if c_cross == 0 or c_primed == 0:
         raise InsufficientStatisticsError("no coincidences at one of the settings")
+    # Side-1 singles include the primed coincidences, so they are > 0 here.
     s_plus = counters_primed.side1_plus
     s_minus = counters_primed.side1_minus
-    if s_plus + s_minus == 0:
-        raise InsufficientStatisticsError("no detected singles at the primed setting")
 
     correlation_counts = (
         counters_cross.pp - counters_cross.pm - counters_cross.mp + counters_cross.mm

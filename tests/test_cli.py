@@ -566,6 +566,12 @@ class TestErrorContract:
         ["eval", "--ineq", "ternary", "--diffs", "1e308,120,120"],
         ["mc", "--diffs", "1e308,120,120"],
         ["eval", "--ineq", "ternary", "--diffs=1,1,1,1e308"],
+        ["eval", "--ineq", "ternary", "--angles", "1,2,x,4"],
+        ["eval", "--ineq", "ternary", "--diffs", "1,2"],
+        ["eval", "--ineq", "ternary", "--diffs", "1,2,3,4,5"],
+        ["mc", "--workers", "0"],
+        ["mc", "--source", "qm-ideal", "--pairs", "10",
+         "--counters", str(Path(__file__).parent / "no-such-dir" / "c.csv")],
     ])
     def test_bad_input_gives_one_json_error(self, argv):
         self.assert_one_json_error(argv)
@@ -632,6 +638,18 @@ class TestErrorContract:
             ["mc", "--source", "lhv", "--model", str(path), "--pairs", "10"]
         )
         assert "UTF-8" in message
+
+    @pytest.mark.parametrize("text, needle", [
+        ("++++ 1.0 extra\n", "line 1: expected '<key> <weight>'"),
+        ("++++ abc\n", "line 1: bad weight 'abc'"),
+    ])
+    def test_malformed_model_line_gives_one_json_error(self, tmp_path, text, needle):
+        path = tmp_path / "bad.lhv"
+        path.write_text(text, encoding="utf-8")
+        message = self.assert_one_json_error(
+            ["mc", "--source", "lhv", "--model", str(path), "--pairs", "10"]
+        )
+        assert needle in message
 
     def test_oversized_model_file_gives_one_json_error(self, tmp_path):
         path = tmp_path / "big.lhv"

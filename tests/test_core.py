@@ -84,6 +84,49 @@ class TestPairProbabilities:
         assert len(core.CELL_NAMES) == len(core.CELL_OUTCOMES) == 9
 
 
+class TestDistributionRule:
+    """One rule for every distribution record: cells finite and >= 0, sum 1."""
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda v: PairProbabilities(pp=v, pm=0.5, mp=0.5, mm=0.0), "cell pp"),
+        (lambda v: PairProbabilities(pp=0.5, pm=0.5, mp=0.0, mm=0.0, zz=v), "cell zz"),
+        (lambda v: SinglesProbabilities(p_plus=v, p_zero=0.5, p_minus=0.5), "p_plus"),
+        (lambda v: SinglesProbabilities(p_plus=0.5, p_zero=0.5, p_minus=v), "p_minus"),
+    ])
+    @pytest.mark.parametrize("value", [-1e-13, -1e-300, math.nan, math.inf, -math.inf])
+    def test_cell_outside_rule_rejected_with_text(self, build, message, value):
+        with pytest.raises(ValidationError) as info:
+            build(value)
+        assert str(info.value) == f"{message} must be finite and >= 0, got {value!r}"
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: PairProbabilities(pp=0.5, pm=0.5, mp=0.5, mm=0.0), "cells sum to 1.5, expected 1"),
+        (lambda: SinglesProbabilities(p_plus=0.5, p_zero=0.0, p_minus=0.25),
+         "singles sum to 0.75, expected 1"),
+    ])
+    def test_sum_message_is_unchanged(self, build, message):
+        with pytest.raises(ValidationError) as info:
+            build()
+        assert str(info.value) == message
+
+    def test_tiny_negative_cell_rejected_before_sampling(self):
+        # Rejected here as a ValidationError, before numpy's multinomial
+        # could see the negative cell and raise a bare ValueError.
+        with pytest.raises(ValidationError, match="cell pp must be finite and >= 0, got -1e-13"):
+            PairProbabilities(pp=-1e-13, pm=0.5, mp=0.5 + 1e-13, mm=0.0)
+
+    def test_cell_above_one_within_sum_tolerance_marginalizes(self):
+        pair = PairProbabilities(pp=1.0 + 5e-10, pm=0.0, mp=0.0, mm=0.0)
+        side1, side2 = core.marginals(pair)
+        assert side1.p_plus == side2.p_plus == 1.0 + 5e-10
+
+    def test_sum_tolerance_boundary(self):
+        # Sums just inside SUM_TOL pass, just outside fail.
+        core.require_distribution("cells", ("x", "y"), (0.5, 0.5 + 0.9 * core.SUM_TOL))
+        with pytest.raises(ValidationError, match="cells sum to"):
+            core.require_distribution("cells", ("x", "y"), (0.5, 0.5 + 1.1 * core.SUM_TOL))
+
+
 class TestExpectation:
     def test_perfect_correlation(self):
         pair = PairProbabilities(pp=0.5, pm=0.0, mp=0.0, mm=0.5)

@@ -4,13 +4,16 @@ The axes below lie outside [0, 180) and include negatives, -360 (which
 normalizes to -0.0) and values just short of the period, so these digests
 pin the axis normalization done when a SettingsQuad is built, and every
 closed form that reads the normalized axes. The digests were taken from
-the code before that normalization moved into SettingsQuad.
+the code before that normalization moved into SettingsQuad. The mc stdout
+digests (lhs, std_error and sigma_distance at each source) were taken from
+the code before the distribution records shared one validation rule.
 """
 
 import hashlib
 
 import pytest
 
+from belltest import lhv
 from belltest.cli import main
 
 REAL = ["--source", "qm-real", "--eta", "0.37", "--phi", "41.3"]
@@ -72,3 +75,37 @@ def test_mc_manifest_is_pinned(capsys, tmp_path):
         "quad_a=-0.0", "quad_b=120.0", "quad_a_prime=60.0", "quad_b_prime=120.0",
     ]
     assert sha256(text) == "2873ebaf3587709021087a7e3b16c0ebc1e53360bb63f2e83a38f8f520059efd"
+
+
+MC = ["--pairs", "200000", "--seed", "5"]
+
+
+@pytest.mark.parametrize("argv,fmt,digest", [
+    (["--source", "qm-real", "--eta", "0.37", "--phi", "41.3", SYMMETRIC, *MC], "json",
+     "742e5b237914b6b896d4508bf1c2def49de1b918853ac64808a6015521f3f5a4"),
+    (["--source", "qm-real", "--eta", "0.37", "--phi", "41.3", SYMMETRIC, *MC], "csv",
+     "6b0294beb69b9ee950646086d5d5092c8bb40b7a46d7119f2933dc9647a8e94f"),
+    (["--source", "qm-ideal", SYMMETRIC, *MC], "json",
+     "4665b0058bea0a4265a78e6124af4be2ed9ee69d12c635255adb10095e842daa"),
+    (["--source", "qm-ideal", SYMMETRIC, *MC], "csv",
+     "5681fe2ded2cba27ba52b70c1144e2396960cd5284a5ff4a40fce6bf59fc1f3f"),
+    # The 50/50 mixture of ++00 and +-0- reads lhs -3.0 at zero spread.
+    (["--source", "lhv", "--model", "two-vertex.lhv", SYMMETRIC, *MC], "json",
+     "11d7816cb758700b294111e17ab44eb385f9e9cda4c2154942670abe5299bd44"),
+    (["--source", "lhv", "--model", "two-vertex.lhv", SYMMETRIC, *MC], "csv",
+     "8a3604ead9208a0928702b16d9d21ce38b3e6b215298c4366c1cf5632ae74b5c"),
+    # Zero spread at margin 4: sigma_distance is null in JSON, inf in CSV.
+    (["--source", "qm-ideal", "--diffs", "0,0,0", "--pairs", "1000"], "json",
+     "325b88ca323e9fa766444f3d5055fba233b512e0baa99f4f55e9d22b81fa2c03"),
+    (["--source", "qm-ideal", "--diffs", "0,0,0", "--pairs", "1000"], "csv",
+     "7d81c422607a8969b320f006a9fa295fad33053d14bd62619a7be46befd17ff0"),
+])
+def test_mc_stdout_is_pinned(capsys, tmp_path, monkeypatch, argv, fmt, digest):
+    # The JSON echoes the --model path, so the model is read by relative name.
+    monkeypatch.chdir(tmp_path)
+    weights = [0.0] * 81
+    for key in ("++00", "+-0-"):
+        weights[lhv.assignment_index(lhv.DeterministicAssignment.from_key(key))] = 0.5
+    lhv.save_model(lhv.FourAxisModel(tuple(weights)), "two-vertex.lhv")
+    assert main(["mc", *argv, "--format", fmt]) == 0
+    assert sha256(capsys.readouterr().out) == digest

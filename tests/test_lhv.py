@@ -52,6 +52,10 @@ class TestEnumeration:
         for assignment in enumerate_assignments():
             assert DeterministicAssignment.from_key(assignment.key()) == assignment
 
+    def test_short_key_rejected(self):
+        with pytest.raises(ValidationError, match="assignment key must have 4 characters"):
+            DeterministicAssignment.from_key("+0")
+
 
 class TestFourAxisModel:
     def test_validation(self):
@@ -67,6 +71,29 @@ class TestFourAxisModel:
         model = FourAxisModel.point_mass(target)
         assert model.weight(target) == 1.0
         assert math.fsum(model.weights) == 1.0
+
+    @pytest.mark.parametrize("value", [-1e-13, math.nan, math.inf])
+    def test_bad_weight_text(self, value):
+        weights = (value,) + (1.0 / 80.0,) * 80
+        with pytest.raises(ValidationError) as info:
+            FourAxisModel(weights)
+        assert str(info.value) == f"weights must be finite and >= 0, got {value!r}"
+
+    def test_sum_message_is_unchanged(self):
+        with pytest.raises(ValidationError) as info:
+            FourAxisModel((0.5,) * 81)
+        assert str(info.value) == "weights sum to 40.5, expected 1"
+
+    def test_sum_within_tolerance_marginalizes(self):
+        # A model summing to 1 + 5e-10 is valid, and so is each pair cell and
+        # marginal built from it, though one cell reads 1.0000000005.
+        model = FourAxisModel.point_mass(DeterministicAssignment(P, P, P, P))
+        model = FourAxisModel(tuple(w * (1.0 + 5e-10) for w in model.weights))
+        for side1, side2 in core.PAIRS.values():
+            pair = pair_probabilities(model, side1, side2)
+            assert pair.pp == 1.0 + 5e-10
+            for singles in core.marginals(pair):
+                assert singles.p_plus == 1.0 + 5e-10
 
     def test_random_model_deterministic(self):
         assert random_model(123).weights == random_model(123).weights
@@ -158,6 +185,46 @@ class TestVerifyTheorem:
         by_setting = {(c.a_prime, c.b_prime): c.min_three_term for c in report.case_bounds}
         assert by_setting[(P, M)] == -3
         assert by_setting[(Z, Z)] == -1
+
+
+def form_values_at_vertices():
+    """Each form's lhs at every point-mass model, keyed by assignment key."""
+    values = {"ternary": {}, "bell65": {}, "chsh": {}}
+    for assignment in enumerate_assignments():
+        model = FourAxisModel.point_mass(assignment)
+        pairs = {label: pair_probabilities(model, *axes) for label, axes in core.PAIRS.items()}
+        e = {label: core.expectation(pair) for label, pair in pairs.items()}
+        singles_ap, _ = core.marginals(pairs["apbp"])
+        _, singles_bp = core.marginals(pairs["apbp"])
+        key = assignment.key()
+        values["ternary"][key] = inequalities.ternary_inequality(
+            e["ab"], e["bpa"], e["bap"], pairs["apbp"], singles_ap, singles_bp
+        ).lhs
+        values["bell65"][key] = inequalities.bell_1965(e["ab"], e["bpa"], e["bap"]).lhs
+        values["chsh"][key] = inequalities.chsh(e["ab"], e["bpa"], e["bap"], e["apbp"]).lhs
+    return values
+
+
+class TestFormsAtVertices:
+    """Each form over the 81 local vertices: which bounds are local bounds."""
+
+    VALUES = form_values_at_vertices()
+
+    def test_ternary_minimum_is_its_bound(self):
+        ternary = self.VALUES["ternary"]
+        assert min(ternary.values()) == -1.0
+        tight = [key for key, value in ternary.items() if value == -1.0]
+        assert len(tight) == 18
+        assert tight == [s.key() for s in verify_theorem().argmin_assignments]
+
+    def test_bell65_minimum_is_below_its_bound(self):
+        bell65 = self.VALUES["bell65"]
+        assert min(bell65.values()) == -3.0
+        assert [key for key, value in bell65.items() if value == -3.0] == ["++--", "--++"]
+        assert inequalities.bell_1965(-1.0, -1.0, -1.0).violated
+
+    def test_chsh_maximum_is_its_bound(self):
+        assert max(self.VALUES["chsh"].values()) == 2.0
 
 
 class TestMixtureFunctional:

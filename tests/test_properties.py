@@ -1,20 +1,23 @@
 """Property tests: invariances the closed forms and the local bound must keep
 for every input, not only at the hand-picked points of the other tests."""
 
+import math
+
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from belltest import lhv, optimizer, qm  # noqa: E402
-from belltest.core import normalize_degrees  # noqa: E402
+from belltest import core, lhv, optimizer, qm  # noqa: E402
+from belltest.core import CELL_NAMES, PAIRS, SUM_TOL, normalize_degrees  # noqa: E402
 from belltest.inequalities import (  # noqa: E402
     FORMS,
     SettingsQuad,
     detection_inequality,
     detection_inequality_symmetric,
 )
+from belltest.montecarlo import CoincidenceCounters, evaluate_symmetric_detection  # noqa: E402
 
 angles = st.floats(min_value=-720.0, max_value=720.0, allow_nan=False)
 geometries = st.builds(
@@ -115,3 +118,36 @@ def test_every_local_mixture_obeys_the_bound(seed, alpha):
     weights = np.random.default_rng(seed).dirichlet(np.full(81, alpha))
     model = lhv.FourAxisModel(tuple(float(w) for w in weights))
     assert lhv.mixture_functional(model) >= -1.0 - 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    support=st.dictionaries(
+        st.integers(min_value=0, max_value=80), st.floats(min_value=1e-300, max_value=1.0),
+        min_size=1,
+    ),
+    drift=st.floats(min_value=-0.9 * SUM_TOL, max_value=0.9 * SUM_TOL),
+)
+def test_every_accepted_model_marginalizes(support, drift):
+    # Any weights FourAxisModel accepts, including sums up to 0.9 SUM_TOL
+    # away from 1, give valid pair cells and valid singles at every pair.
+    # A small support puts nearly all the mass in one cell of a pair.
+    total = math.fsum(support.values())
+    model = lhv.FourAxisModel(
+        tuple(support.get(i, 0.0) / total * (1.0 + drift) for i in range(81))
+    )
+    for side1, side2 in PAIRS.values():
+        core.marginals(lhv.pair_probabilities(model, side1, side2))
+
+
+counts = st.integers(min_value=0, max_value=10**12)
+counters = st.lists(counts, min_size=9, max_size=9).filter(lambda c: any(c[:4])).map(
+    lambda c: CoincidenceCounters(sum(c), **dict(zip(CELL_NAMES, c)))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cross=counters, primed=counters)
+def test_coincidences_at_both_settings_always_give_a_report(cross, primed):
+    estimated = evaluate_symmetric_detection(cross, primed)
+    assert estimated.std_error >= 0.0
