@@ -18,8 +18,10 @@ SUM_TOL = 1e-9
 """Absolute tolerance on probability sums (closed-form inputs are exact)."""
 
 CELL_TOL = 1e-12
-"""Round-off slack for detection rates (DetectionRates, singles_total,
-qm.complete_detection_rates); distribution cells get none."""
+"""Round-off slack left in three places: a DetectionRates partner-missed cell
+may be this far below 0, singles_total's arguments this far outside [0, 1],
+and qm.complete_detection_rates' detected mass this far above 1. Cells and
+rates must never be negative."""
 
 
 class BellTestError(Exception):
@@ -47,14 +49,19 @@ def require_in_range(
         raise ValidationError(f"{name} must be in {bracket}{low}, {high}], got {value}")
 
 
+def _require_nonnegative(names: tuple[str, ...], values: tuple[float, ...]) -> None:
+    """Reject the first value that is not finite and >= 0, naming it."""
+    for name, value in zip(names, values):
+        if not 0.0 <= value < math.inf:  # NaN fails the comparison too
+            raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
+
+
 def require_distribution(what: str, names: tuple[str, ...], cells: tuple[float, ...]) -> None:
     """Reject cells unless each is finite and >= 0 and all sum to 1 within SUM_TOL.
 
     No per-cell upper bound: each cell is then <= 1 + SUM_TOL, so marginals pass too.
     """
-    for name, value in zip(names, cells):
-        if not 0.0 <= value < math.inf:  # NaN fails the comparison too
-            raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
+    _require_nonnegative(names, cells)
     total = math.fsum(cells)
     if abs(total - 1.0) > SUM_TOL:
         raise ValidationError(f"{what} sum to {total!r}, expected 1")
@@ -128,10 +135,6 @@ CELL_OUTCOMES: tuple[tuple[Outcome, Outcome], ...] = tuple(
 )
 
 
-def _cell_name(i: Outcome, j: Outcome) -> str:
-    return _LETTER[i] + _LETTER[j]
-
-
 @dataclass(frozen=True)
 class PairProbabilities:
     """Nine-cell joint outcome distribution for one pair of settings.
@@ -157,7 +160,7 @@ class PairProbabilities:
         return tuple(getattr(self, name) for name in CELL_NAMES)
 
     def prob(self, i: Outcome, j: Outcome) -> float:
-        return getattr(self, _cell_name(i, j))
+        return getattr(self, CELL_NAMES[CELL_OUTCOMES.index((i, j))])
 
 
 # The per-emission sample space handed to the Monte Carlo sampler is the
@@ -188,8 +191,9 @@ class DetectionRates:
     apertures entirely. Physical values are probabilities, but every
     consumer works on ratios in which the emission count cancels, so
     uniformly rescaled (unnormalized) rates are accepted too. What is
-    enforced: nonnegativity, and coincidences never exceeding the
-    matching singles.
+    enforced: every field is finite and >= 0, and every partner-missed
+    cell is >= -CELL_TOL, i.e. coincidences never exceed the matching
+    single.
     """
 
     d_pp: float
@@ -205,24 +209,27 @@ class DetectionRates:
                "d_plus_1", "d_minus_1", "d_plus_2", "d_minus_2")
 
     def __post_init__(self) -> None:
-        for name in self._FIELDS:
-            value = getattr(self, name)
-            if not (value >= -CELL_TOL) or not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite and >= 0: {value!r}")
-        checks = (
-            ("d_pp + d_pm", self.d_pp + self.d_pm, "d_plus_1", self.d_plus_1),
-            ("d_mp + d_mm", self.d_mp + self.d_mm, "d_minus_1", self.d_minus_1),
-            ("d_pp + d_mp", self.d_pp + self.d_mp, "d_plus_2", self.d_plus_2),
-            ("d_pm + d_mm", self.d_pm + self.d_mm, "d_minus_2", self.d_minus_2),
-        )
-        for label, coincidences, single_name, single in checks:
-            if coincidences > single + CELL_TOL:
+        _require_nonnegative(self._FIELDS, tuple(getattr(self, n) for n in self._FIELDS))
+        for cell, value in self.partner_missed().items():
+            if value < -CELL_TOL:
                 raise ValidationError(
-                    f"{label} = {coincidences!r} exceeds {single_name} = {single!r}"
+                    f"partner-missed cell {cell} is {value!r}: coincidences exceed the single rate"
                 )
 
     def doubles(self) -> tuple[float, float, float, float]:
         return (self.d_pp, self.d_pm, self.d_mp, self.d_mm)
+
+    def partner_missed(self) -> dict[str, float]:
+        """Completion cells pz, zp, mz, zm: detected on one side, partner missed.
+
+        Each is that side's single rate less its two coincidence cells.
+        """
+        return {
+            "pz": self.d_plus_1 - (self.d_pp + self.d_pm),
+            "zp": self.d_plus_2 - (self.d_pp + self.d_mp),
+            "mz": self.d_minus_1 - (self.d_mp + self.d_mm),
+            "zm": self.d_minus_2 - (self.d_pm + self.d_mm),
+        }
 
     def scaled(self, factor: float) -> "DetectionRates":
         """All eight fields multiplied by a common positive factor."""
@@ -230,21 +237,18 @@ class DetectionRates:
 
 
 def expectation(pair: PairProbabilities) -> float:
-    """Correlation of the detected outcomes: p(++) - p(+-) - p(-+) + p(--)."""
+    """Correlation of the detected outcomes: pp - pm - mp + mm, of probabilities or counts."""
     return pair.pp - pair.pm - pair.mp + pair.mm
 
 
 def marginals(pair: PairProbabilities) -> tuple[SinglesProbabilities, SinglesProbabilities]:
-    """Per-side outcome distributions obtained by summing rows and columns."""
-    side1 = SinglesProbabilities(
-        p_plus=math.fsum((pair.pp, pair.pm, pair.pz)),
-        p_zero=math.fsum((pair.zp, pair.zm, pair.zz)),
-        p_minus=math.fsum((pair.mp, pair.mm, pair.mz)),
-    )
-    side2 = SinglesProbabilities(
-        p_plus=math.fsum((pair.pp, pair.mp, pair.zp)),
-        p_zero=math.fsum((pair.pz, pair.mz, pair.zz)),
-        p_minus=math.fsum((pair.pm, pair.mm, pair.zm)),
+    """Per-side outcome distributions: each side's cells summed by that side's letter."""
+    cells = tuple(zip(CELL_NAMES, pair.cells()))
+    side1, side2 = (
+        SinglesProbabilities(*(
+            math.fsum(p for name, p in cells if name[side] == _LETTER[o]) for o in OUTCOMES
+        ))
+        for side in (0, 1)
     )
     return side1, side2
 
@@ -277,9 +281,4 @@ def normalize_coincidences(rates: DetectionRates) -> PairProbabilities:
     total = coincidence_total(rates)
     if total <= 0.0:
         raise UndefinedRatioError("coincidence total is zero; ratios undefined")
-    return PairProbabilities(
-        pp=rates.d_pp / total,
-        pm=rates.d_pm / total,
-        mp=rates.d_mp / total,
-        mm=rates.d_mm / total,
-    )
+    return PairProbabilities(*(d / total for d in rates.doubles()))

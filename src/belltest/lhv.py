@@ -63,17 +63,9 @@ def enumerate_assignments() -> tuple[DeterministicAssignment, ...]:
     )
 
 
-_INDEX = {Outcome.PLUS: 0, Outcome.ZERO: 1, Outcome.MINUS: 2}
-
-
 def assignment_index(assignment: DeterministicAssignment) -> int:
     """Position of an assignment in the canonical enumeration."""
-    return (
-        27 * _INDEX[assignment.a]
-        + 9 * _INDEX[assignment.a_prime]
-        + 3 * _INDEX[assignment.b]
-        + _INDEX[assignment.b_prime]
-    )
+    return enumerate_assignments().index(assignment)
 
 
 @dataclass(frozen=True)
@@ -206,7 +198,7 @@ def verify_theorem() -> TheoremReport:
     functional, and the caller decides how loudly to fail.
     """
     assignments = enumerate_assignments()
-    values = [bell_functional(s) for s in assignments]
+    values = functional_values()
     minimum = min(values)
     argmins = tuple(s for s, v in zip(assignments, values) if v == minimum)
 

@@ -26,6 +26,7 @@ from .core import (
     BellTestError,
     EventDistribution,
     ValidationError,
+    expectation,
     require_in_range,
 )
 from .inequalities import InequalityReport, SettingsQuad, detection_inequality_symmetric
@@ -417,9 +418,7 @@ def evaluate_symmetric_detection(
     s_plus = counters_primed.side1_plus
     s_minus = counters_primed.side1_minus
 
-    correlation_counts = (
-        counters_cross.pp - counters_cross.pm - counters_cross.mp + counters_cross.mm
-    )
+    correlation_counts = expectation(counters_cross)
     report = detection_inequality_symmetric(
         e_cross=float(correlation_counts),
         total_cross=float(c_cross),

@@ -157,20 +157,8 @@ def event_distribution(a: float, b: float, geom: CascadeGeometry) -> EventDistri
 
 
 def complete_detection_rates(rates: DetectionRates) -> EventDistribution:
-    """Extend detected-only rates to a full nine-cell distribution."""
-    completions = {
-        "pz": rates.d_plus_1 - (rates.d_pp + rates.d_pm),
-        "mz": rates.d_minus_1 - (rates.d_mp + rates.d_mm),
-        "zp": rates.d_plus_2 - (rates.d_pp + rates.d_mp),
-        "zm": rates.d_minus_2 - (rates.d_pm + rates.d_mm),
-    }
-    for name, value in completions.items():
-        if value < -CELL_TOL:
-            raise InfeasibleModelError(
-                f"completion cell {name} would be negative ({value!r}); "
-                "rates are inconsistent with a per-emission sample space"
-            )
-        completions[name] = max(value, 0.0)
+    """Extend detected rates to nine cells; partner-missed cells are clamped at 0."""
+    completions = {name: max(value, 0.0) for name, value in rates.partner_missed().items()}
     partial = math.fsum((*rates.doubles(), *completions.values()))
     missed_both = 1.0 - partial
     if missed_both < -CELL_TOL:
@@ -178,12 +166,7 @@ def complete_detection_rates(rates: DetectionRates) -> EventDistribution:
             f"detected mass exceeds 1 ({partial!r}); "
             "rates are inconsistent with a per-emission sample space"
         )
-    return PairProbabilities(
-        pp=rates.d_pp, pm=rates.d_pm, mp=rates.d_mp, mm=rates.d_mm,
-        pz=completions["pz"], zp=completions["zp"],
-        mz=completions["mz"], zm=completions["zm"],
-        zz=max(missed_both, 0.0),
-    )
+    return PairProbabilities(*rates.doubles(), **completions, zz=max(missed_both, 0.0))
 
 
 @dataclass(frozen=True)

@@ -73,6 +73,13 @@ class TestPairProbabilities:
         with pytest.raises(ValidationError):
             PairProbabilities(pp=0.5, pm=0.5, mp=0.5, mm=0.0)
 
+    def test_prob_reads_every_cell(self):
+        pair = PairProbabilities(*(k / 45 for k in range(1, 10)))
+        letter = {Outcome.PLUS: "p", Outcome.ZERO: "z", Outcome.MINUS: "m"}
+        for i in core.OUTCOMES:
+            for j in core.OUTCOMES:
+                assert pair.prob(i, j) == getattr(pair, letter[i] + letter[j])
+
     def test_prob_accessor(self):
         pair = PairProbabilities(pp=0.1, pm=0.2, mp=0.3, mm=0.4)
         assert pair.prob(Outcome.PLUS, Outcome.MINUS) == 0.2
@@ -189,6 +196,39 @@ class TestDetectionRates:
                 d_pp=0.3, d_pm=0.3, d_mp=0.0, d_mm=0.0,
                 d_plus_1=0.1, d_minus_1=0.5, d_plus_2=0.5, d_minus_2=0.5,
             )
+
+    @pytest.mark.parametrize("field", DetectionRates._FIELDS)
+    @pytest.mark.parametrize("value", [-1e-13, -5e-324, math.nan, math.inf, -math.inf])
+    def test_negative_or_non_finite_field_is_named(self, field, value):
+        # No CELL_TOL slack on nonnegativity: the error names the field as given.
+        fields = dict(zip(DetectionRates._FIELDS, (0.25, 0.25, 0.25, 0.25, 0.5, 0.5, 0.5, 0.5)))
+        fields[field] = value
+        with pytest.raises(ValidationError) as info:
+            DetectionRates(**fields)
+        assert str(info.value) == f"{field} must be finite and >= 0, got {value!r}"
+
+    def test_partner_missed_cells(self):
+        rates = DetectionRates(0.1, 0.2, 0.05, 0.15, 0.5, 0.25, 0.25, 0.5)
+        assert rates.partner_missed() == {
+            "pz": 0.5 - (0.1 + 0.2),
+            "zp": 0.25 - (0.1 + 0.05),
+            "mz": 0.25 - (0.05 + 0.15),
+            "zm": 0.5 - (0.2 + 0.15),
+        }
+        assert list(rates.partner_missed()) == [n for n in core.CELL_NAMES if n.count("z") == 1]
+
+    def test_partner_missed_cell_may_reach_minus_cell_tol(self):
+        # pz = zp = 0 - 1e-12 exactly: inside the slack; one ulp more is not.
+        DetectionRates(core.CELL_TOL, 0, 0, 0, 0, 0, 0, 0)
+        with pytest.raises(ValidationError, match=r"^partner-missed cell pz is -1.0000000000000002e-12"):
+            DetectionRates(_above(core.CELL_TOL), 0, 0, 0, 0, 0, 0, 0)
+
+    def test_the_check_and_the_completion_agree(self):
+        # d_pp + d_pm rounds to d_plus_1 + CELL_TOL, so comparing sums passed it,
+        # while the completion cell pz = d_plus_1 - (d_pp + d_pm) is below -CELL_TOL.
+        x = 0.050000000000500006
+        with pytest.raises(ValidationError, match=r"^partner-missed cell pz is -1\.00000"):
+            DetectionRates(x, x, 0, 0, 0.1, 0, 0.5, 0.5)
 
     def test_qm_rates_always_valid(self):
         rng = np.random.default_rng(7)

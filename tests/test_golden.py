@@ -6,7 +6,9 @@ pin the axis normalization done when a SettingsQuad is built, and every
 closed form that reads the normalized axes. The digests were taken from
 the code before that normalization moved into SettingsQuad. The mc stdout
 digests (lhs, std_error and sigma_distance at each source) were taken from
-the code before the distribution records shared one validation rule.
+the code before the distribution records shared one validation rule. The
+verify-theorem and lhv counters digests were taken from the code before the
+outcome-table sums, completions and indexes were derived from core.
 """
 
 import hashlib
@@ -54,6 +56,26 @@ def sha256(text: str) -> str:
 def test_eval_stdout_is_pinned(capsys, ineq, source, angles, fmt, digest):
     assert main(["eval", "--ineq", ineq, *source, angles, "--format", fmt]) == 0
     assert sha256(capsys.readouterr().out) == digest
+
+
+def test_verify_theorem_stdout_is_pinned(capsys):
+    assert main(["verify-theorem"]) == 0
+    assert sha256(capsys.readouterr().out) == (
+        "12a8343bfab6f0c97b3cf2a4b8254f1b5c3d36e3bd1f5ab2484c5c40e607a493"
+    )
+
+
+def test_lhv_counters_are_pinned(capsys, tmp_path):
+    model = tmp_path / "random3.lhv"
+    counters = tmp_path / "counters.csv"
+    lhv.save_model(lhv.random_model(3), model)
+    argv = ["mc", "--source", "lhv", "--model", str(model), "--pairs", "200000", "--seed", "5",
+            "--counters", str(counters)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert sha256(counters.read_text(encoding="utf-8")) == (
+        "fc5c46ab0cc0d7b8be2f727e1285835677d53c9a63c585c88271c6110d7a1693"
+    )
 
 
 def test_negative_angles_after_a_space_match_the_pin(capsys):

@@ -48,6 +48,14 @@ class TestEnumeration:
         for i, assignment in enumerate(enumerate_assignments()):
             assert lhv.assignment_index(assignment) == i
 
+    def test_index_is_base_three_over_the_key(self):
+        # (+, 0, -) are the digits 0, 1, 2, with a as the most significant.
+        for assignment in enumerate_assignments():
+            key = assignment.key()
+            digits = ["+0-".index(ch) for ch in key]
+            expected = 27 * digits[0] + 9 * digits[1] + 3 * digits[2] + digits[3]
+            assert lhv.assignment_index(DeterministicAssignment.from_key(key)) == expected
+
     def test_key_round_trip(self):
         for assignment in enumerate_assignments():
             assert DeterministicAssignment.from_key(assignment.key()) == assignment
@@ -179,6 +187,26 @@ class TestVerifyTheorem:
             -1, -1, -3, -3, -2, -2, -2, -2, -1,
         )
         assert report.cases_match_expected
+
+    def test_report_and_functional_values_share_one_computation(self, monkeypatch):
+        calls = []
+
+        def counted(assignment):
+            calls.append(assignment)
+            return bell_functional(assignment)
+
+        monkeypatch.setattr(lhv, "bell_functional", counted)
+        lhv.functional_values.cache_clear()
+        try:
+            report = verify_theorem()
+            values = lhv.functional_values()
+        finally:
+            lhv.functional_values.cache_clear()
+        assert len(calls) == 81
+        assert report.min_functional_value == min(values)
+        assert report.argmin_assignments == tuple(
+            s for s, v in zip(enumerate_assignments(), values) if v == min(values)
+        )
 
     def test_specific_cases(self):
         report = verify_theorem()

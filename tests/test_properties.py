@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from belltest import core, lhv, optimizer, qm  # noqa: E402
 from belltest.core import CELL_NAMES, PAIRS, SUM_TOL, normalize_degrees  # noqa: E402
@@ -138,6 +138,54 @@ def test_every_accepted_model_marginalizes(support, drift):
     )
     for side1, side2 in PAIRS.values():
         core.marginals(lhv.pair_probabilities(model, side1, side2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cells=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=9, max_size=9).filter(
+    lambda c: math.fsum(c) > 0.0
+))
+def test_marginals_are_the_row_and_column_sums(cells):
+    total = math.fsum(cells)
+    p = core.PairProbabilities(*(c / total for c in cells))
+    side1, side2 = core.marginals(p)
+    # Bit-exact against the hand-written row (side 1) and column (side 2) sums.
+    assert (side1.p_plus, side1.p_zero, side1.p_minus) == (
+        math.fsum((p.pp, p.pm, p.pz)), math.fsum((p.zp, p.zm, p.zz)), math.fsum((p.mp, p.mm, p.mz))
+    )
+    assert (side2.p_plus, side2.p_zero, side2.p_minus) == (
+        math.fsum((p.pp, p.mp, p.zp)), math.fsum((p.pz, p.mz, p.zz)), math.fsum((p.pm, p.mm, p.zm))
+    )
+
+
+rates_cells = st.floats(min_value=0.0, max_value=0.3)
+# A single's excess over its two coincidences, reaching past -CELL_TOL.
+excess = st.one_of(
+    st.floats(min_value=-3 * core.CELL_TOL, max_value=3 * core.CELL_TOL),
+    st.floats(min_value=0.0, max_value=0.3),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(doubles=st.tuples(*[rates_cells] * 4), excesses=st.tuples(*[excess] * 4),
+       scale=st.sampled_from((1.0, 3.0)))
+def test_every_accepted_record_completes_unless_detected_mass_exceeds_1(doubles, excesses, scale):
+    pp, pm, mp, mm = (d * scale for d in doubles)
+    # Singles in field order: d_plus_1, d_minus_1, d_plus_2, d_minus_2.
+    singles = (pp + pm, mp + mm, pp + mp, pm + mm)
+    singles = tuple(max(s + e, 0.0) for s, e in zip(singles, excesses))
+    try:
+        rates = core.DetectionRates(pp, pm, mp, mm, *singles)
+    except core.ValidationError:
+        assume(False)
+    # The detected cells the completion places: the doubles and the
+    # partner-missed cells, each clamped at 0.
+    mass = math.fsum((*rates.doubles(), *(max(v, 0.0) for v in rates.partner_missed().values())))
+    if mass <= 1.0:
+        dist = qm.complete_detection_rates(rates)
+        assert dist.cells()[:4] == rates.doubles()
+    elif mass > 1.0 + core.CELL_TOL:
+        with pytest.raises(qm.InfeasibleModelError):
+            qm.complete_detection_rates(rates)
 
 
 counts = st.integers(min_value=0, max_value=10**12)

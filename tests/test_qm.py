@@ -215,6 +215,20 @@ class TestEventDistribution:
         dist = event_distribution(0.0, 10.0, CascadeGeometry(eta=1e-9, phi_deg=30.0))
         assert dist.zz == pytest.approx(1.0, abs=1e-9)
 
+    def test_completion_cells_are_the_partner_missed_cells(self):
+        rates = detection_rates(14.0, 95.0, GEOM)
+        dist = event_distribution(14.0, 95.0, GEOM)
+        assert dist.cells()[:4] == rates.doubles()
+        assert {name: getattr(dist, name) for name in rates.partner_missed()} == (
+            rates.partner_missed()
+        )
+
+    def test_completion_clamps_cells_inside_the_slack(self):
+        # pz and zp are -CELL_TOL, which DetectionRates accepts; completion reads 0.
+        rates = core.DetectionRates(core.CELL_TOL, 0, 0, 0, 0, 0, 0, 0)
+        dist = qm.complete_detection_rates(rates)
+        assert (dist.pp, dist.pz, dist.zp, dist.zz) == (core.CELL_TOL, 0.0, 0.0, 1.0 - core.CELL_TOL)
+
     def test_infeasible_rates_raise(self):
         from belltest.core import DetectionRates
 
