@@ -18,10 +18,9 @@ SUM_TOL = 1e-9
 """Absolute tolerance on probability sums (closed-form inputs are exact)."""
 
 CELL_TOL = 1e-12
-"""Round-off slack left in three places: a DetectionRates partner-missed cell
-may be this far below 0, singles_total's arguments this far outside [0, 1],
-and qm.complete_detection_rates' detected mass this far above 1. Cells and
-rates must never be negative."""
+"""Round-off slack left in two places: a DetectionRates partner-missed cell
+may be this far below 0, and qm.complete_detection_rates' detected mass this
+far above 1. Cells and rates must never be negative."""
 
 
 class BellTestError(Exception):
@@ -256,14 +255,6 @@ def marginals(pair: PairProbabilities) -> tuple[SinglesProbabilities, SinglesPro
 def coincidence_total(rates: DetectionRates) -> float:
     """Total double-detection probability (all four +/- combinations)."""
     return math.fsum(rates.doubles())
-
-
-def singles_total(d_plus: float, d_minus: float) -> float:
-    """Total single-detection probability for one side."""
-    for name, value in (("d_plus", d_plus), ("d_minus", d_minus)):
-        if not (-CELL_TOL <= value <= 1.0 + CELL_TOL):
-            raise ValidationError(f"{name} out of [0, 1]: {value!r}")
-    return d_plus + d_minus
 
 
 def detection_expectation(rates: DetectionRates) -> float:

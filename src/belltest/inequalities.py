@@ -10,6 +10,11 @@ Bell's original 1965 three-correlation inequality and the CHSH
 inequality are provided for comparison. FORMS names all six and says, for
 each, which quantum source feeds it and how its inputs follow from the
 closed forms at a setting quad.
+
+Both measurable forms are CHSH plus one: E1 + E2 + E3 - E4 + 1, where Ek is
+each pair's normalized coincidence correlation E/T0 and (a', b') takes the
+negated slot. Each side's singles ratios sum to 1, so the singles arguments
+can change which error is raised but, up to rounding, never the lhs.
 """
 
 from __future__ import annotations
@@ -270,7 +275,8 @@ def detection_inequality(
     Correlations become E/T0 per cross pair, coincidence cells become
     D/T0 at the primed pair, and singles become D/t0 per primed side.
     Every term is a ratio, so a uniform rescaling of all rates (an
-    unknown emission count) drops out.
+    unknown emission count) drops out. The lhs is E1 + E2 + E3 - E4 + 1
+    with (a',b') negated; the singles ratios sum to 1 and only select errors.
     """
     cross_terms = [
         _ratio(detection_expectation(r), coincidence_total(r), f"coincidence total ({label})")
@@ -305,7 +311,11 @@ def detection_inequality_symmetric(
     d_minus_primed: float,
     singles_total_primed: float,
 ) -> InequalityReport:
-    """Symmetric measurable form: 3 E/T0 - 2 D++/T0 - 2 D--/T0 + 2 D+/t0 + 2 D-/t0."""
+    """Symmetric measurable form: 3 E/T0 - 2 D++/T0 - 2 D--/T0 + 2 D+/t0 + 2 D-/t0.
+
+    With t0 = D+ + D- the singles ratios sum to 1, so they only select
+    errors, and the lhs is 3 E/T0 (cross) - E/T0 (primed) + 1.
+    """
     lhs = math.fsum(
         (
             3.0 * _ratio(e_cross, total_cross, "cross coincidence total"),
@@ -335,26 +345,6 @@ def chsh(e_ab: float, e_bpa: float, e_bap: float, e_apbp: float) -> InequalityRe
         )
     )
     return _report("chsh", lhs, CHSH_BOUND, "le")
-
-
-def excess_violation_ratio(factor_new: float, factor_ref: float) -> float:
-    """How much farther one violation factor goes beyond no-violation.
-
-    Defined as (factor_new - 1) / (factor_ref - 1); the 1.5-vs-sqrt(2)
-    comparison gives about 1.207. That is not "20.7% more violation":
-    the factor lhs / bound moves when a constant is added to an
-    inequality. The fringe threshold F*, the depolarization factor above
-    which a form is violated, does not. The detection form is 1 - 2.5 F
-    at the merged-primed 120-degree quad, so it needs F > 0.8, while
-    CHSH and the detection form at the free quad (0, 67.5, 135, 112.5),
-    1 - 2 sqrt(2) F, need only F > 1 / sqrt(2). By F* the merged-primed
-    configuration is less robust to fringe loss than CHSH, not more.
-    """
-    if factor_new < 1.0 or factor_ref < 1.0:
-        raise ValidationError("violation factors are at least 1 by construction")
-    if factor_ref <= 1.0:
-        raise ValidationError("reference factor must exceed 1 for the ratio to be defined")
-    return (factor_new - 1.0) / (factor_ref - 1.0)
 
 
 # ---------------------------------------------------------------------------

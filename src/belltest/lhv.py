@@ -34,7 +34,7 @@ class ModelFileError(BellTestError, ValueError):
     """A four-axis model file is malformed or inconsistent."""
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class DeterministicAssignment:
     """Predetermined outcomes for both photons at both possible settings."""
 

@@ -298,18 +298,14 @@ def sample_chunk(
     return next(_draw_chunks(_cell_probabilities(dist), pair_seed, chunk_index, (count,)))
 
 
-def sample_pair_events(
-    dist: EventDistribution, n: int, seed: int, workers: int = 1
-) -> CoincidenceCounters:
+def sample_pair_events(dist: EventDistribution, n: int, seed: int) -> CoincidenceCounters:
     """Sample n emissions at one setting pair; deterministic in (seed, n).
 
-    Chunks are drawn one after another in the calling thread. Each chunk
+    Chunks are drawn one after another in the calling thread: each chunk
     is interpreter-bound Python and numpy work, so threads would only
-    contend for the interpreter lock. workers is accepted for
-    compatibility and ignored: chunk seeds and boundaries are fixed by
-    (seed, n) alone, so the result is identical at any worker count.
-    Chunk counts are summed as they are drawn, not kept (int64 sums are
-    exact, so the order of addition cannot change the counters).
+    contend for the interpreter lock. Chunk counts are summed as they are
+    drawn, not kept (int64 sums are exact, so the order of addition
+    cannot change the counters).
     """
     total = np.zeros(len(CELL_NAMES), dtype=np.int64)
     for counts in _draw_chunks(_cell_probabilities(dist), seed, 0, chunk_counts(n)):
@@ -356,14 +352,12 @@ def distribution_for(source: Source, quad: SettingsQuad, label: str) -> EventDis
 
 
 def run_experiment(plan: RunPlan, workers: int = 1) -> dict[str, CoincidenceCounters]:
-    """Sample all four setting pairs; one counter set per pair label."""
+    """Sample all four setting pairs, one counter set per label; workers is ignored."""
     results: dict[str, CoincidenceCounters] = {}
     for pair_index, label in enumerate(PAIR_LABELS):
         dist = distribution_for(plan.source, plan.quad, label)
         pair_seed = derive_seed(plan.seed, pair_index)
-        results[label] = sample_pair_events(
-            dist, plan.pairs_per_setting, pair_seed, workers=workers
-        )
+        results[label] = sample_pair_events(dist, plan.pairs_per_setting, pair_seed)
     return results
 
 

@@ -53,7 +53,9 @@ def angular_correlation(phi_deg: float) -> float:
 def depolarization_factor(phi_deg: float) -> float:
     """Fringe attenuation for back-to-back detectors of half-aperture phi.
 
-    Very close to 1 for realistic apertures; small-aperture form.
+    Very close to 1 for realistic apertures; small-aperture form. F > 0.8
+    means phi < 63.1 degrees and F > 1/sqrt(2) means phi < 70.3 degrees,
+    both outside the small apertures this form is meant for.
     """
     require_in_range("half-aperture", phi_deg, 0, 90, low_open=True)
     c = math.cos(math.radians(phi_deg))

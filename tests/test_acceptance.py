@@ -13,11 +13,12 @@ import numpy as np
 from belltest import core, lhv, montecarlo as mc, optimizer, qm
 from belltest.core import cos_double_angle
 from belltest.inequalities import (
+    FORMS,
+    SettingsQuad,
     bell_1965,
     chsh,
     detection_inequality,
     detection_inequality_symmetric,
-    excess_violation_ratio,
     quad_from_differences,
     ternary_inequality,
 )
@@ -204,7 +205,7 @@ def test_criterion_06_geometry_formulas():
         )
         rates = qm.detection_rates(float(rng.uniform(0, 180)), float(rng.uniform(0, 180)), geom)
         total = core.coincidence_total(rates)
-        singles = core.singles_total(rates.d_plus_1, rates.d_minus_1)
+        singles = rates.d_plus_1 + rates.d_minus_1
         assert abs(total - qm.predict_coincidence_total(geom)) <= 1e-15 * abs(total)
         assert abs(singles - qm.predict_singles_total(geom)) <= 1e-15 * abs(singles)
     _passed(6, "aperture formulas and both total-rate paths agree to 1e-15 relative")
@@ -247,9 +248,26 @@ def test_criterion_09_chsh_comparison():
         cos_double_angle(ap - bp),
     )
     assert abs(report.violation_factor - math.sqrt(2)) <= 1e-9
-    ratio = excess_violation_ratio(1.5, math.sqrt(2))
-    assert abs(ratio - 1.2071) <= 1e-4
-    _passed(9, "CHSH factor sqrt(2); 1.5 exceeds it by the 20.7% excess ratio")
+
+    # Compared by the fringe threshold F*, the depolarization factor above
+    # which a form is violated: the violation factor moves when a constant
+    # is added to an inequality, F* does not.
+    def detection_at(quad, f):
+        geom = qm.CascadeGeometry(eta=0.2, phi_deg=30.0, f_override=f)
+        return FORMS["detection"].evaluate(quad, qm.RealSource(geom))
+
+    for f, violated in ((0.79, False), (0.8, False), (0.81, True)):
+        merged = detection_at(CANONICAL_QUAD, f)
+        assert abs(merged.lhs - (1.0 - 2.5 * f)) <= 1e-12
+        assert merged.violated is violated
+    free_quad = SettingsQuad.of(0.0, 67.5, 135.0, 112.5)
+    for f, violated in ((1.0 / math.sqrt(2), False), (0.71, True)):
+        free = detection_at(free_quad, f)
+        assert abs(free.lhs - (1.0 - 2.0 * math.sqrt(2) * f)) <= 1e-12
+        assert free.violated is violated
+    assert abs(detection_at(free_quad, 1.0 / math.sqrt(2)).lhs - (-1.0)) <= 1e-12
+    _passed(9, "CHSH factor sqrt(2); detection needs F > 0.8 at the merged quad, "
+            "F > 1/sqrt(2) at the free quad")
 
 
 def test_criterion_10_parallel_determinism():

@@ -250,17 +250,6 @@ class TestDetectionRates:
         zero = DetectionRates(0, 0, 0, 0, 0, 0, 0, 0)
         assert core.coincidence_total(zero) == 0.0
 
-    def test_singles_total_examples(self):
-        assert core.singles_total(0.5, 0.5) == 1.0
-        assert core.singles_total(0.0, 0.0) == 0.0
-        geom = qm.CascadeGeometry(eta=0.2, phi_deg=30.0)
-        rates = qm.detection_rates(0.0, 0.0, geom)
-        assert core.singles_total(rates.d_plus_1, rates.d_minus_1) == pytest.approx(
-            1.339745962155613e-2, rel=1e-12
-        )
-        with pytest.raises(ValidationError):
-            core.singles_total(1.5, 0.0)
-
     def test_detection_expectation_examples(self):
         at0 = qm.detection_rates(25.0, 25.0, GEOM_F1)
         assert core.detection_expectation(at0) == pytest.approx(

@@ -18,7 +18,6 @@ from belltest.inequalities import (
     chsh,
     detection_inequality,
     detection_inequality_symmetric,
-    excess_violation_ratio,
     quad_from_differences,
     ternary_inequality,
     ternary_inequality_symmetric,
@@ -268,25 +267,6 @@ class TestChsh:
         assert report.lhs == 4.0
         assert report.violation_factor == 2.0
         assert report.violated
-
-
-class TestExcessViolationRatio:
-    def test_headline_comparison(self):
-        assert excess_violation_ratio(1.5, math.sqrt(2)) == pytest.approx(
-            1.2071067811865472, abs=1e-12
-        )
-
-    def test_identity(self):
-        assert excess_violation_ratio(1.3, 1.3) == 1.0
-
-    def test_no_violation_numerator(self):
-        assert excess_violation_ratio(1.0, 1.5) == 0.0
-
-    def test_requires_reference_violation(self):
-        with pytest.raises(ValidationError):
-            excess_violation_ratio(1.5, 1.0)
-        with pytest.raises(ValidationError):
-            excess_violation_ratio(0.5, 1.4)
 
 
 MERGED_QUAD = quad_from_differences(120, 120, 120, 0)

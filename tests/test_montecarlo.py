@@ -87,13 +87,6 @@ class TestSamplePairEvents:
         c = sample_pair_events(dist, 50_000, seed=10)
         assert c != a
 
-    def test_worker_count_never_changes_counts(self):
-        dist = qm.event_distribution(0.0, 120.0, GEOM_F1)
-        n = 3 * mc.CHUNK_EMISSIONS + 12345
-        baseline = sample_pair_events(dist, n, seed=4, workers=1)
-        for workers in (2, 4, 16):
-            assert sample_pair_events(dist, n, seed=4, workers=workers) == baseline
-
     def test_rate_close_to_model(self):
         dist = qm.event_distribution(0.0, 120.0, GEOM_F1)
         n = 1_000_000

@@ -16,6 +16,7 @@ from belltest.inequalities import (  # noqa: E402
     SettingsQuad,
     detection_inequality,
     detection_inequality_symmetric,
+    quad_from_differences,
 )
 from belltest.montecarlo import CoincidenceCounters, evaluate_symmetric_detection  # noqa: E402
 
@@ -186,6 +187,60 @@ def test_every_accepted_record_completes_unless_detected_mass_exceeds_1(doubles,
     elif mass > 1.0 + core.CELL_TOL:
         with pytest.raises(qm.InfeasibleModelError):
             qm.complete_detection_rates(rates)
+
+
+@st.composite
+def detection_records(draw):
+    """A DetectionRates with a nonzero coincidence total and positive singles."""
+    pp, pm, mp, mm = draw(st.tuples(*[rates_cells] * 4).filter(lambda d: math.fsum(d) > 0.0))
+    extra = draw(st.tuples(*[st.floats(min_value=1e-6, max_value=0.3)] * 4))
+    singles = (pp + pm, mp + mm, pp + mp, pm + mm)
+    return core.DetectionRates(pp, pm, mp, mm, *(s + e for s, e in zip(singles, extra)))
+
+
+def _correlation(rates):
+    """A pair's normalized coincidence correlation E/T0."""
+    return core.detection_expectation(rates) / core.coincidence_total(rates)
+
+
+def _chsh_plus_one(correlations, negated=3):
+    return math.fsum(-e if k == negated else e for k, e in enumerate(correlations)) + 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(rates=st.tuples(*[detection_records()] * 4))
+def test_detection_forms_are_chsh_plus_one(rates):
+    e = [_correlation(r) for r in rates]
+    cross, primed = rates[0], rates[3]
+    general = detection_inequality(
+        *rates,
+        singles_ap=(primed.d_plus_1, primed.d_minus_1),
+        singles_bp=(primed.d_plus_2, primed.d_minus_2),
+    )
+    assert abs(general.lhs - _chsh_plus_one(e)) <= 1e-12
+    symmetric = detection_inequality_symmetric(
+        core.detection_expectation(cross),
+        core.coincidence_total(cross),
+        primed.d_pp,
+        primed.d_mm,
+        core.coincidence_total(primed),
+        primed.d_plus_1,
+        primed.d_minus_1,
+        primed.d_plus_1 + primed.d_minus_1,
+    )
+    assert abs(symmetric.lhs - (3.0 * e[0] - e[3] + 1.0)) <= 1e-12
+
+
+def test_chsh_plus_one_pins_the_negated_slot():
+    # The identity above would not hold with the negated slot on E3: at the
+    # merged 120-degree quad with an undamped fringe the two differ by 3.
+    geom = qm.CascadeGeometry(eta=0.2, phi_deg=30.0, f_override=1.0)
+    quad = quad_from_differences(120.0, 120.0, 120.0, 0.0)
+    rates = [qm.detection_rates(x, y, geom) for x, y in quad.pair_axes()]
+    e = [_correlation(r) for r in rates]
+    lhs = detection_inequality(*rates, singles_ap=(1.0, 1.0), singles_bp=(1.0, 1.0)).lhs
+    assert abs(lhs - _chsh_plus_one(e)) <= 1e-12
+    assert abs(lhs - _chsh_plus_one(e, negated=2)) > 0.1
 
 
 counts = st.integers(min_value=0, max_value=10**12)

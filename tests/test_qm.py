@@ -169,7 +169,7 @@ class TestPredictedTotals:
             assert core.coincidence_total(rates) == pytest.approx(
                 predict_coincidence_total(geom), rel=1e-15
             )
-            assert core.singles_total(rates.d_plus_1, rates.d_minus_1) == pytest.approx(
+            assert rates.d_plus_1 + rates.d_minus_1 == pytest.approx(
                 predict_singles_total(geom), rel=1e-15
             )
 
