@@ -48,7 +48,7 @@ def require_in_range(
         raise ValidationError(f"{name} must be in {bracket}{low}, {high}], got {value}")
 
 
-def _require_nonnegative(names: tuple[str, ...], values: tuple[float, ...]) -> None:
+def require_nonnegative(names: tuple[str, ...], values: tuple[float, ...]) -> None:
     """Reject the first value that is not finite and >= 0, naming it."""
     for name, value in zip(names, values):
         if not 0.0 <= value < math.inf:  # NaN fails the comparison too
@@ -60,7 +60,7 @@ def require_distribution(what: str, names: tuple[str, ...], cells: tuple[float, 
 
     No per-cell upper bound: each cell is then <= 1 + SUM_TOL, so marginals pass too.
     """
-    _require_nonnegative(names, cells)
+    require_nonnegative(names, cells)
     total = math.fsum(cells)
     if abs(total - 1.0) > SUM_TOL:
         raise ValidationError(f"{what} sum to {total!r}, expected 1")
@@ -208,7 +208,7 @@ class DetectionRates:
                "d_plus_1", "d_minus_1", "d_plus_2", "d_minus_2")
 
     def __post_init__(self) -> None:
-        _require_nonnegative(self._FIELDS, tuple(getattr(self, n) for n in self._FIELDS))
+        require_nonnegative(self._FIELDS, tuple(getattr(self, n) for n in self._FIELDS))
         for cell, value in self.partner_missed().items():
             if value < -CELL_TOL:
                 raise ValidationError(

@@ -35,6 +35,7 @@ from .core import (
     cos_double_angle,
     detection_expectation,
     normalize_degrees,
+    require_nonnegative,
 )
 
 VIOLATION_EPS = 1e-12
@@ -284,12 +285,11 @@ def detection_inequality(
     ]
     primed_total = coincidence_total(rates_apbp)
     singles_terms = []
-    for side, (d_plus, d_minus) in (("a'", singles_ap), ("b'", singles_bp)):
-        if d_plus < 0.0 or d_minus < 0.0:
-            raise ValidationError(f"singles rates for {side} must be >= 0")
+    for side, arg, singles in (("a'", "singles_ap", singles_ap), ("b'", "singles_bp", singles_bp)):
+        require_nonnegative((f"{arg}[0]", f"{arg}[1]"), singles)
+        d_plus, d_minus = singles
         total = d_plus + d_minus
-        singles_terms.append(_ratio(d_plus, total, f"singles total ({side})"))
-        singles_terms.append(_ratio(d_minus, total, f"singles total ({side})"))
+        singles_terms += (_ratio(d, total, f"singles total ({side})") for d in (d_plus, d_minus))
     lhs = math.fsum(
         (
             *cross_terms,
@@ -314,8 +314,17 @@ def detection_inequality_symmetric(
     """Symmetric measurable form: 3 E/T0 - 2 D++/T0 - 2 D--/T0 + 2 D+/t0 + 2 D-/t0.
 
     With t0 = D+ + D- the singles ratios sum to 1, so they only select
-    errors, and the lhs is 3 E/T0 (cross) - E/T0 (primed) + 1.
+    errors, and the lhs is 3 E/T0 (cross) - E/T0 (primed) + 1. Only
+    e_cross may be negative; every argument must be finite.
     """
+    if not math.isfinite(e_cross):
+        raise ValidationError(f"e_cross must be finite, got {e_cross!r}")
+    require_nonnegative(
+        ("total_cross", "d_pp_primed", "d_mm_primed", "total_primed",
+         "d_plus_primed", "d_minus_primed", "singles_total_primed"),
+        (total_cross, d_pp_primed, d_mm_primed, total_primed,
+         d_plus_primed, d_minus_primed, singles_total_primed),
+    )
     lhs = math.fsum(
         (
             3.0 * _ratio(e_cross, total_cross, "cross coincidence total"),

@@ -22,12 +22,13 @@ import numpy as np
 from . import lhv, qm
 from .core import (
     CELL_NAMES,
+    CELL_OUTCOMES,
     PAIRS,
     BellTestError,
     EventDistribution,
     ValidationError,
-    expectation,
     require_in_range,
+    require_nonnegative,
 )
 from .inequalities import InequalityReport, SettingsQuad, detection_inequality_symmetric
 
@@ -40,6 +41,14 @@ layout stays an 8 MiB tuple. Larger counts are rejected before any sampling."""
 
 PAIR_LABELS: tuple[str, ...] = tuple(PAIRS)
 """The four setting pairs a run measures, in core.PAIRS order."""
+
+# Cell masks in CELL_NAMES order, from each cell's outcomes (x, y): correlation
+# sign, coincidence, like-signed coincidence, side-1 plus and minus single. One
+# 1-D array each: building a 2-D array here raised peak RSS by about 0.1 MB.
+_SIGN, _COINC, _LIKE, _SIDE1_PLUS, _SIDE1_MINUS = (
+    np.array(column, dtype=np.float64)
+    for column in zip(*((x * y, abs(x * y), x * y > 0, x > 0, x < 0) for x, y in CELL_OUTCOMES))
+)
 
 
 class InsufficientStatisticsError(BellTestError):
@@ -69,8 +78,7 @@ class CoincidenceCounters:
 
     def __post_init__(self) -> None:
         cells = self.cells()
-        if any(c < 0 for c in cells) or self.n_emitted < 0:
-            raise ValidationError("counts must be nonnegative")
+        require_nonnegative(("n_emitted", *CELL_NAMES), (self.n_emitted, *cells))
         if sum(cells) != self.n_emitted:
             raise ValidationError(
                 f"cells sum to {sum(cells)}, expected n_emitted = {self.n_emitted}"
@@ -81,23 +89,7 @@ class CoincidenceCounters:
 
     @property
     def coincidences(self) -> int:
-        return self.pp + self.pm + self.mp + self.mm
-
-    @property
-    def side1_plus(self) -> int:
-        return self.pp + self.pm + self.pz
-
-    @property
-    def side1_minus(self) -> int:
-        return self.mp + self.mm + self.mz
-
-    @property
-    def side2_plus(self) -> int:
-        return self.pp + self.mp + self.zp
-
-    @property
-    def side2_minus(self) -> int:
-        return self.pm + self.mm + self.zm
+        return sum(c for c, (o1, o2) in zip(self.cells(), CELL_OUTCOMES) if o1 and o2)
 
 
 def merge_counters(*counters: CoincidenceCounters) -> CoincidenceCounters:
@@ -379,11 +371,6 @@ def _delta_variance(counts: np.ndarray, grad: np.ndarray) -> float:
     return float(n_total * (float(p @ (grad * grad)) - mean_grad * mean_grad))
 
 
-_SIGN = np.array([1.0, -1.0, -1.0, 1.0, 0, 0, 0, 0, 0])
-_COINC = np.array([1.0, 1.0, 1.0, 1.0, 0, 0, 0, 0, 0])
-_LIKE = np.array([1.0, 0.0, 0.0, 1.0, 0, 0, 0, 0, 0])
-
-
 def evaluate_symmetric_detection(
     counters_cross: CoincidenceCounters, counters_primed: CoincidenceCounters
 ) -> EstimatedReport:
@@ -391,7 +378,8 @@ def evaluate_symmetric_detection(
 
     counters_cross holds the shared cross-setting measurement (the three
     equal-difference pairs), counters_primed the primed pair whose
-    coincidences and side-1 singles supply the remaining ratios. The
+    coincidences and side-1 singles supply the remaining ratios; totals,
+    singles and the correlation sum the cells picked by core.CELL_OUTCOMES. The
     standard error propagates through the count ratios to first order,
     treating each counter set as an independent multinomial. The
     detected-singles ratio group is identically 2 and contributes no
@@ -404,32 +392,29 @@ def evaluate_symmetric_detection(
     of assignments ++00 and +-0- has mixture functional 0 but reads -3
     here.
     """
-    c_cross = counters_cross.coincidences
-    c_primed = counters_primed.coincidences
-    if c_cross == 0 or c_primed == 0:
-        raise InsufficientStatisticsError("no coincidences at one of the settings")
-    # Side-1 singles include the primed coincidences, so they are > 0 here.
-    s_plus = counters_primed.side1_plus
-    s_minus = counters_primed.side1_minus
-
-    correlation_counts = expectation(counters_cross)
-    report = detection_inequality_symmetric(
-        e_cross=float(correlation_counts),
-        total_cross=float(c_cross),
-        d_pp_primed=float(counters_primed.pp),
-        d_mm_primed=float(counters_primed.mm),
-        total_primed=float(c_primed),
-        d_plus_primed=float(s_plus),
-        d_minus_primed=float(s_minus),
-        singles_total_primed=float(s_plus + s_minus),
-    )
-
+    # Counts stay below 2**53, so these float sums are exact.
     cross = np.asarray(counters_cross.cells(), dtype=np.float64)
     primed = np.asarray(counters_primed.cells(), dtype=np.float64)
-    u = float(correlation_counts)
-    grad_cross = 3.0 * (_SIGN * c_cross - u * _COINC) / float(c_cross) ** 2
-    w = float(counters_primed.pp + counters_primed.mm)
-    grad_primed = -2.0 * (_LIKE * c_primed - w * _COINC) / float(c_primed) ** 2
+    c_cross, u = float(_COINC @ cross), float(_SIGN @ cross)
+    c_primed, w = float(_COINC @ primed), float(_LIKE @ primed)
+    if c_cross == 0.0 or c_primed == 0.0:
+        raise InsufficientStatisticsError("no coincidences at one of the settings")
+    # Side-1 singles include the primed coincidences, so they are > 0 here.
+    s_plus, s_minus = float(_SIDE1_PLUS @ primed), float(_SIDE1_MINUS @ primed)
+
+    report = detection_inequality_symmetric(
+        e_cross=u,
+        total_cross=c_cross,
+        d_pp_primed=float(counters_primed.pp),
+        d_mm_primed=float(counters_primed.mm),
+        total_primed=c_primed,
+        d_plus_primed=s_plus,
+        d_minus_primed=s_minus,
+        singles_total_primed=s_plus + s_minus,
+    )
+
+    grad_cross = 3.0 * (_SIGN * c_cross - u * _COINC) / c_cross ** 2
+    grad_primed = -2.0 * (_LIKE * c_primed - w * _COINC) / c_primed ** 2
     variance = _delta_variance(cross, grad_cross) + _delta_variance(primed, grad_primed)
     std_error = math.sqrt(max(variance, 0.0))
 
@@ -454,13 +439,9 @@ def bootstrap_std_error(
     p_primed = _cell_probabilities(counters_primed)
     values = []
     for _ in range(resamples):
-        draw_cross = CoincidenceCounters(
-            counters_cross.n_emitted,
-            *(int(c) for c in rng.multinomial(counters_cross.n_emitted, p_cross)),
-        )
-        draw_primed = CoincidenceCounters(
-            counters_primed.n_emitted,
-            *(int(c) for c in rng.multinomial(counters_primed.n_emitted, p_primed)),
+        draw_cross, draw_primed = (  # cross is drawn first
+            CoincidenceCounters(c.n_emitted, *(int(k) for k in rng.multinomial(c.n_emitted, p)))
+            for c, p in ((counters_cross, p_cross), (counters_primed, p_primed))
         )
         try:
             values.append(evaluate_symmetric_detection(draw_cross, draw_primed).report.lhs)

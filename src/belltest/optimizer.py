@@ -48,7 +48,6 @@ class ScanResult:
     best_quad: SettingsQuad
     best_lhs: float
     best_factor: float
-    best_diffs: tuple[float, float, float, float]
     surface: None = None
 
 
@@ -139,5 +138,4 @@ def grid_scan(
         best_quad=best_quad,
         best_lhs=report.lhs,
         best_factor=report.violation_factor,
-        best_diffs=best_quad.differences(),
     )

@@ -231,7 +231,7 @@ def test_criterion_08_optimizer_recovers_configuration():
     start = time.perf_counter()
     result = optimizer.grid_scan("ternary", qm.IdealSource(), step_deg=1.0, refine_rounds=6)
     elapsed = time.perf_counter() - start
-    for found, target in zip(result.best_diffs, (120.0, 120.0, 120.0, 0.0)):
+    for found, target in zip(result.best_quad.differences(), (120.0, 120.0, 120.0, 0.0)):
         assert abs(found - target) <= 0.5
     assert abs(result.best_lhs - (-1.5)) <= 1e-6
     assert elapsed < 30.0

@@ -244,6 +244,38 @@ class TestDetectionSymmetric:
     def test_zero_denominator(self):
         with pytest.raises(UndefinedRatioError):
             detection_inequality_symmetric(0.0, 0.0, 0.1, 0.1, 1.0, 0.5, 0.5, 1.0)
+        with pytest.raises(UndefinedRatioError):
+            detection_inequality_symmetric(0.0, 1.0, 0.1, 0.1, 1.0, 0.0, 0.0, 0.0)
+
+
+SYMMETRIC_ARGS = dict(
+    e_cross=0.0, total_cross=1.0, d_pp_primed=0.25, d_mm_primed=0.25, total_primed=1.0,
+    d_plus_primed=0.5, d_minus_primed=0.5, singles_total_primed=1.0,
+)
+BAD_VALUES = (math.nan, math.inf, -1.0)
+
+
+class TestMeasurableInputValidation:
+    @pytest.mark.parametrize("bad", BAD_VALUES)
+    @pytest.mark.parametrize("arg", ["singles_ap", "singles_bp"])
+    @pytest.mark.parametrize("slot", [0, 1])
+    def test_detection_rejects_bad_singles(self, arg, slot, bad):
+        inputs = detection_inputs(GEOM_F1)
+        singles = list(inputs[arg])
+        singles[slot] = bad
+        inputs[arg] = tuple(singles)
+        with pytest.raises(ValidationError, match=rf"^{arg}\[{slot}\] must be finite and >= 0"):
+            detection_inequality(**inputs)
+
+    @pytest.mark.parametrize("bad", BAD_VALUES)
+    @pytest.mark.parametrize("arg", list(SYMMETRIC_ARGS))
+    def test_symmetric_rejects_bad_inputs(self, arg, bad):
+        inputs = dict(SYMMETRIC_ARGS, **{arg: bad})
+        if arg == "e_cross" and bad == -1.0:  # a correlation count may be negative
+            assert detection_inequality_symmetric(**inputs).lhs == pytest.approx(-2.0, abs=1e-15)
+            return
+        with pytest.raises(ValidationError, match=rf"^{arg} must be finite"):
+            detection_inequality_symmetric(**inputs)
 
 
 class TestChsh:

@@ -228,10 +228,6 @@ class TestCounters:
             n_emitted=45, pp=1, pm=2, mp=3, mm=4, pz=5, zp=6, mz=7, zm=8, zz=9
         )
         assert counters.coincidences == 10
-        assert counters.side1_plus == 8
-        assert counters.side1_minus == 14
-        assert counters.side2_plus == 10
-        assert counters.side2_minus == 14
 
 
 class TestMergeCounters:

@@ -127,7 +127,7 @@ class TestGridScan:
     def test_finds_canonical_optimum_quickly(self):
         result = grid_scan("ternary", IDEAL, step_deg=5.0, refine_rounds=4)
         assert result.best_lhs == pytest.approx(-1.5, abs=1e-6)
-        for found, target in zip(result.best_diffs, TARGET_DIFFS):
+        for found, target in zip(result.best_quad.differences(), TARGET_DIFFS):
             assert fold(found) == pytest.approx(fold(target), abs=0.5)
 
     def test_detection_scan_same_optimum(self):
