@@ -109,9 +109,10 @@ def _resolve_quad(args: argparse.Namespace) -> SettingsQuad:
         if len(values) != 4:
             raise ValidationError(f"--diffs expects 3 or 4 values, got {len(values)}")
         diffs = values
-    if getattr(args, "ineq", None) == "bell65":
+    d1, d2, d3, _ = diffs
+    if getattr(args, "ineq", None) == "bell65" and math.isfinite(d1 + d3):
         # Three free pairs, no primed-pair constraint: directly realizable.
-        d1, d2, d3 = diffs[0], diffs[1], diffs[2]
+        # Where a' = d1 + d3 is not finite, quad_from_differences names the fault.
         return SettingsQuad.of(0.0, d1, d1 + d3, d2)
     return quad_from_differences(*diffs)
 
@@ -238,10 +239,10 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     estimated = montecarlo.evaluate_symmetric_detection(cross, counters["apbp"])
 
     if args.counters is not None:
-        with open(args.counters, "w", encoding="utf-8") as handle:
+        with open(args.counters, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(montecarlo.counters_csv(counters))
     if args.manifest is not None:
-        with open(args.manifest, "w", encoding="utf-8") as handle:
+        with open(args.manifest, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(montecarlo.run_manifest(plan, counters))
 
     fields = _report_fields(estimated.report)
@@ -289,7 +290,7 @@ def _write_surface(path: str, axes: Iterable[float], planes: Iterable[Any]) -> N
     items: list[str] = [""] * (2 * len(cells))
     items[0::2] = cells
     text_of: dict[int, str] = {}  # bit pattern -> repr, shared by the planes
-    with open(path, "w", encoding="utf-8") as handle:
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("a,b,a_prime,b_prime,lhs\n")
         for a, plane in zip(labels, planes):
             if len(text_of) > len(cells):

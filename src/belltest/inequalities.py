@@ -1,20 +1,23 @@
 """Evaluators for the ternary-outcome Bell inequalities and comparators.
 
-The central constraint bounds a combination of three cross-setting
-correlations, the like-outcome coincidence probabilities at the primed
-setting pair, and the primed-side detected-singles probabilities below
-by -1 for every local model. It comes in four flavors: the general
-form, a symmetric reduced form, and measurable variants of both built
-from detection-rate ratios (which cancel the unknown emission count).
-Bell's original 1965 three-correlation inequality and the CHSH
-inequality are provided for comparison. FORMS names all six and says, for
-each, which quantum source feeds it and how its inputs follow from the
+The central constraint, bounded below by -1 for every local model, comes in
+four flavors that share one term rule: three cross-setting correlations (or
+three times one shared one), minus 2 per like-outcome (++ or --) coincidence
+term at the primed setting pair, plus the primed-side detected singles. The
+flavors are the general form, a symmetric reduced form, and measurable
+variants of both built from detection-rate ratios (which cancel the unknown
+emission count). Bell's original 1965 three-correlation inequality and the
+CHSH inequality are provided for comparison. FORMS names all six and says,
+for each, which quantum source feeds it and how its inputs follow from the
 closed forms at a setting quad.
 
 Both measurable forms are CHSH plus one: E1 + E2 + E3 - E4 + 1, where Ek is
 each pair's normalized coincidence correlation E/T0 and (a', b') takes the
-negated slot. Each side's singles ratios sum to 1, so the singles arguments
-can change which error is raised but, up to rounding, never the lhs.
+negated slot. Each side's singles ratios D/t0, with t0 = D+ + D-, sum to 1,
+so the singles arguments can change which error is raised but, up to
+rounding, never the lhs. The symmetric measurable form also rejects
+inconsistent inputs: |E| above T0 at the cross pair, D++ + D-- above T0 at
+the primed pair, or a singles total other than D+ + D-.
 """
 
 from __future__ import annotations
@@ -103,16 +106,25 @@ def _report(name: str, lhs: float, bound: float, sense: Literal["ge", "le"]) -> 
     )
 
 
-def _check_expectation(name: str, value: float) -> float:
-    if not -1.0 - VIOLATION_EPS <= value <= 1.0 + VIOLATION_EPS:
-        raise ValidationError(f"{name} must lie in [-1, 1], got {value!r}")
-    return float(value)
+def _require_unit_range(
+    names: Sequence[str], values: Sequence[float], low: float = -1.0
+) -> list[float]:
+    """values as floats once each lies in [low, 1] within VIOLATION_EPS, else the first outside
+    is named; low is -1 for correlations, 0 for probabilities."""
+    checked = []
+    for name, value in zip(names, values):
+        if not low - VIOLATION_EPS <= value <= 1.0 + VIOLATION_EPS:
+            raise ValidationError(f"{name} must lie in [{low:g}, 1], got {value!r}")
+        checked.append(float(value))
+    return checked
 
 
-def _check_probability(name: str, value: float) -> float:
-    if not -VIOLATION_EPS <= value <= 1.0 + VIOLATION_EPS:
-        raise ValidationError(f"{name} must lie in [0, 1], got {value!r}")
-    return float(value)
+def _ternary_report(
+    name: str, cross: Sequence[float], like_primed: Sequence[float], singles: Sequence[float]
+) -> InequalityReport:
+    """The ternary forms' term rule: sum(cross) - 2 sum(like_primed) + sum(singles), by one fsum."""
+    lhs = math.fsum((*cross, *(-2.0 * p for p in like_primed), *singles))
+    return _report(name, lhs, LOCAL_BOUND, "ge")
 
 
 @dataclass(frozen=True)
@@ -200,20 +212,12 @@ def ternary_inequality(
     lhs = e(a,b) + e(b',a) + e(b,a') - 2 p++(a',b') - 2 p--(a',b')
           + p+(a') + p-(a') + p+(b') + p-(b').
     """
-    lhs = math.fsum(
-        (
-            _check_expectation("e_ab", e_ab),
-            _check_expectation("e_bpa", e_bpa),
-            _check_expectation("e_bap", e_bap),
-            -2.0 * pair_apbp.pp,
-            -2.0 * pair_apbp.mm,
-            singles_ap.p_plus,
-            singles_ap.p_minus,
-            singles_bp.p_plus,
-            singles_bp.p_minus,
-        )
+    return _ternary_report(
+        "ternary",
+        _require_unit_range(("e_ab", "e_bpa", "e_bap"), (e_ab, e_bpa, e_bap)),
+        (pair_apbp.pp, pair_apbp.mm),
+        (singles_ap.p_plus, singles_ap.p_minus, singles_bp.p_plus, singles_bp.p_minus),
     )
-    return _report("ternary", lhs, LOCAL_BOUND, "ge")
 
 
 def ternary_inequality_symmetric(
@@ -230,15 +234,13 @@ def ternary_inequality_symmetric(
     """
     if len(singles) != 4:
         raise ValidationError(f"expected 4 singles probabilities, got {len(singles)}")
-    lhs = math.fsum(
-        (
-            3.0 * _check_expectation("e_cross", e_cross),
-            -2.0 * _check_probability("p_pp_primed", p_pp_primed),
-            -2.0 * _check_probability("p_mm_primed", p_mm_primed),
-            *(_check_probability(f"singles[{k}]", s) for k, s in enumerate(singles)),
-        )
+    (e,) = _require_unit_range(("e_cross",), (e_cross,))
+    p_pp, p_mm, *singles_terms = _require_unit_range(
+        ("p_pp_primed", "p_mm_primed", *(f"singles[{k}]" for k in range(4))),
+        (p_pp_primed, p_mm_primed, *singles),
+        low=0.0,
     )
-    return _report("ternary-sym", lhs, LOCAL_BOUND, "ge")
+    return _ternary_report("ternary-sym", (3.0 * e,), (p_pp, p_mm), singles_terms)
 
 
 def bell_1965(e_ab: float, e_bpa: float, e_apb: float) -> InequalityReport:
@@ -247,13 +249,7 @@ def bell_1965(e_ab: float, e_bpa: float, e_apb: float) -> InequalityReport:
     The -1 is not a local bound: it assumes perfect correlation at equal
     primed axes, and the local vertices ++-- and --++ (a, a', b, b') reach -3.
     """
-    lhs = math.fsum(
-        (
-            _check_expectation("e_ab", e_ab),
-            _check_expectation("e_bpa", e_bpa),
-            _check_expectation("e_apb", e_apb),
-        )
-    )
+    lhs = math.fsum(_require_unit_range(("e_ab", "e_bpa", "e_apb"), (e_ab, e_bpa, e_apb)))
     return _report("bell65", lhs, LOCAL_BOUND, "ge")
 
 
@@ -261,6 +257,12 @@ def _ratio(numerator: float, denominator: float, what: str) -> float:
     if denominator <= 0.0:
         raise UndefinedRatioError(f"{what} is zero; ratio undefined")
     return numerator / denominator
+
+
+def _singles_ratios(d_plus: float, d_minus: float, what: str) -> tuple[float, float]:
+    """One primed side's measurable singles terms D+/t0 and D-/t0, t0 = D+ + D-."""
+    total = d_plus + d_minus
+    return _ratio(d_plus, total, what), _ratio(d_minus, total, what)
 
 
 def detection_inequality(
@@ -284,21 +286,14 @@ def detection_inequality(
         for label, r in (("ab", rates_ab), ("bpa", rates_bpa), ("bap", rates_bap))
     ]
     primed_total = coincidence_total(rates_apbp)
-    singles_terms = []
+    singles_terms: list[float] = []
     for side, arg, singles in (("a'", "singles_ap", singles_ap), ("b'", "singles_bp", singles_bp)):
         require_nonnegative((f"{arg}[0]", f"{arg}[1]"), singles)
         d_plus, d_minus = singles
-        total = d_plus + d_minus
-        singles_terms += (_ratio(d, total, f"singles total ({side})") for d in (d_plus, d_minus))
-    lhs = math.fsum(
-        (
-            *cross_terms,
-            -2.0 * _ratio(rates_apbp.d_pp, primed_total, "coincidence total (a'b')"),
-            -2.0 * _ratio(rates_apbp.d_mm, primed_total, "coincidence total (a'b')"),
-            *singles_terms,
-        )
-    )
-    return _report("detection", lhs, LOCAL_BOUND, "ge")
+        singles_terms += _singles_ratios(d_plus, d_minus, f"singles total ({side})")
+    like_primed = (rates_apbp.d_pp, rates_apbp.d_mm)
+    like_terms = [_ratio(d, primed_total, "coincidence total (a'b')") for d in like_primed]
+    return _ternary_report("detection", cross_terms, like_terms, singles_terms)
 
 
 def detection_inequality_symmetric(
@@ -315,7 +310,10 @@ def detection_inequality_symmetric(
 
     With t0 = D+ + D- the singles ratios sum to 1, so they only select
     errors, and the lhs is 3 E/T0 (cross) - E/T0 (primed) + 1. Only
-    e_cross may be negative; every argument must be finite.
+    e_cross may be negative; every argument must be finite. The inputs
+    must be consistent within a relative slack of VIOLATION_EPS (of the
+    total named): |e_cross| <= total_cross, d_pp_primed + d_mm_primed <=
+    total_primed, and singles_total_primed = d_plus_primed + d_minus_primed.
     """
     if not math.isfinite(e_cross):
         raise ValidationError(f"e_cross must be finite, got {e_cross!r}")
@@ -325,16 +323,21 @@ def detection_inequality_symmetric(
         (total_cross, d_pp_primed, d_mm_primed, total_primed,
          d_plus_primed, d_minus_primed, singles_total_primed),
     )
-    lhs = math.fsum(
-        (
-            3.0 * _ratio(e_cross, total_cross, "cross coincidence total"),
-            -2.0 * _ratio(d_pp_primed, total_primed, "primed coincidence total"),
-            -2.0 * _ratio(d_mm_primed, total_primed, "primed coincidence total"),
-            2.0 * _ratio(d_plus_primed, singles_total_primed, "primed singles total"),
-            2.0 * _ratio(d_minus_primed, singles_total_primed, "primed singles total"),
-        )
+    for rule, excess, total in (
+        ("|e_cross| <= total_cross", abs(e_cross) - total_cross, total_cross),
+        ("d_pp_primed + d_mm_primed <= total_primed",
+         d_pp_primed + d_mm_primed - total_primed, total_primed),
+        ("singles_total_primed = d_plus_primed + d_minus_primed",
+         abs(singles_total_primed - (d_plus_primed + d_minus_primed)), singles_total_primed),
+    ):
+        if excess > VIOLATION_EPS * total:
+            raise ValidationError(f"inputs break {rule} by {excess!r}")
+    return _ternary_report(
+        "detection-sym",
+        (3.0 * _ratio(e_cross, total_cross, "cross coincidence total"),),
+        [_ratio(d, total_primed, "primed coincidence total") for d in (d_pp_primed, d_mm_primed)],
+        [2.0 * r for r in _singles_ratios(d_plus_primed, d_minus_primed, "primed singles total")],
     )
-    return _report("detection-sym", lhs, LOCAL_BOUND, "ge")
 
 
 def chsh(e_ab: float, e_bpa: float, e_bap: float, e_apbp: float) -> InequalityReport:
@@ -343,16 +346,10 @@ def chsh(e_ab: float, e_bpa: float, e_bap: float, e_apbp: float) -> InequalityRe
     The caller chooses which measured pair feeds the negated slot; at
     the standard optimal settings that is the one odd-angle pair.
     """
-    lhs = abs(
-        math.fsum(
-            (
-                _check_expectation("e_ab", e_ab),
-                _check_expectation("e_bpa", e_bpa),
-                _check_expectation("e_bap", e_bap),
-                -_check_expectation("e_apbp", e_apbp),
-            )
-        )
+    *cross, e_primed = _require_unit_range(
+        ("e_ab", "e_bpa", "e_bap", "e_apbp"), (e_ab, e_bpa, e_bap, e_apbp)
     )
+    lhs = abs(math.fsum((*cross, -e_primed)))
     return _report("chsh", lhs, CHSH_BOUND, "le")
 
 

@@ -298,5 +298,5 @@ def load_model(path: str | os.PathLike[str]) -> FourAxisModel:
 
 
 def save_model(model: FourAxisModel, path: str | os.PathLike[str]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(save_model_text(model))

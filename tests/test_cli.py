@@ -615,6 +615,10 @@ class TestErrorContract:
          '{"error": "f_override must be in [0, 1], got -0.1"}\n'),
         (["eval", "--ineq", "detection", "--source", "qm-real", "--force-F", "nan"],
          '{"error": "f_override must be in [0, 1], got nan"}\n'),
+        (["eval", "--ineq", "ternary", "--diffs", "1e308,1,1e308"],
+         '{"error": "differences (1e+308, 1.0, 1e+308, 0.0) are too large to realize"}\n'),
+        (["eval", "--ineq", "bell65", "--diffs", "1e308,1,1e308"],
+         '{"error": "differences (1e+308, 1.0, 1e+308, 0.0) are too large to realize"}\n'),
     ])
     def test_out_of_range_error_text(self, capsys, argv, stderr):
         assert run_cli(capsys, argv) == (1, "", stderr)

@@ -277,6 +277,39 @@ class TestMeasurableInputValidation:
         with pytest.raises(ValidationError, match=rf"^{arg} must be finite"):
             detection_inequality_symmetric(**inputs)
 
+    @pytest.mark.parametrize("changes, rule", [
+        # like-sign coincidences of 4 against a primed total of 1 read as lhs -6.0
+        (dict(d_pp_primed=2.0, d_mm_primed=2.0), r"d_pp_primed \+ d_mm_primed <= total_primed"),
+        (dict(e_cross=5.0), r"\|e_cross\| <= total_cross"),  # read as 16.0
+        (dict(e_cross=-5.0), r"\|e_cross\| <= total_cross"),
+        # singles of 0.5 + 0.5 against a total of 0.1 read as 19.0
+        (dict(singles_total_primed=0.1), r"singles_total_primed = d_plus_primed \+ d_minus_primed"),
+    ], ids=["like-sign", "e-above", "e-below", "singles-total"])
+    def test_symmetric_rejects_inconsistent_inputs(self, changes, rule):
+        with pytest.raises(ValidationError, match=rf"^inputs break {rule} by "):
+            detection_inequality_symmetric(**dict(SYMMETRIC_ARGS, **changes))
+
+    @pytest.mark.parametrize("changes", [
+        dict(d_pp_primed=0.5, d_mm_primed=0.5),
+        dict(d_pp_primed=0.5, d_mm_primed=0.5 + 5e-13),
+        dict(e_cross=1.0),
+        dict(e_cross=-1.0 - 5e-13),
+        dict(singles_total_primed=1.0 + 5e-13),
+        dict(singles_total_primed=1.0 - 5e-13),
+        dict(total_cross=1e6, e_cross=-1e6 - 1e-7),  # the slack is relative to the total
+    ])
+    def test_symmetric_accepts_consistency_boundaries(self, changes):
+        detection_inequality_symmetric(**dict(SYMMETRIC_ARGS, **changes))
+
+    @pytest.mark.parametrize("changes", [
+        dict(d_pp_primed=0.5, d_mm_primed=0.5 + 2e-12),
+        dict(e_cross=-1.0 - 2e-12),
+        dict(singles_total_primed=1.0 - 2e-12),
+    ])
+    def test_symmetric_rejects_just_beyond_the_slack(self, changes):
+        with pytest.raises(ValidationError, match="^inputs break "):
+            detection_inequality_symmetric(**dict(SYMMETRIC_ARGS, **changes))
+
 
 class TestChsh:
     def test_optimal_settings(self):

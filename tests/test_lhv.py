@@ -245,6 +245,13 @@ class TestFormsAtVertices:
         assert len(tight) == 18
         assert tight == [s.key() for s in verify_theorem().argmin_assignments]
 
+    def test_ternary_is_the_enumerated_functional(self):
+        """The evaluators' term rule and the proof's functional agree at every vertex."""
+        ternary = self.VALUES["ternary"]
+        assert len(ternary) == 81
+        for assignment in enumerate_assignments():
+            assert ternary[assignment.key()] == bell_functional(assignment), assignment.key()
+
     def test_bell65_minimum_is_below_its_bound(self):
         bell65 = self.VALUES["bell65"]
         assert min(bell65.values()) == -3.0
