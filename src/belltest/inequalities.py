@@ -23,7 +23,6 @@ the primed pair, or a singles total other than D+ + D-.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Any, Callable, Literal, Sequence
 
 from . import qm
@@ -31,6 +30,7 @@ from .core import (
     PAIRS,
     DetectionRates,
     PairProbabilities,
+    Record,
     SinglesProbabilities,
     UndefinedRatioError,
     ValidationError,
@@ -74,8 +74,7 @@ the float spacing of angles near 180 (2.8e-14): further rounds cannot move
 the incumbent and only cost 25 objective calls each."""
 
 
-@dataclass(frozen=True)
-class InequalityReport:
+class InequalityReport(Record):
     """Outcome of evaluating one inequality at one set of inputs.
 
     margin is the signed distance to the bound in the direction of
@@ -127,8 +126,7 @@ def _ternary_report(
     return _report(name, lhs, LOCAL_BOUND, "ge")
 
 
-@dataclass(frozen=True)
-class SettingsQuad:
+class SettingsQuad(Record):
     """The four polarizer axes in degrees: a and a' on side 1, b and b' on side 2.
 
     Each axis must be finite and is stored normalized to [0, 180).
@@ -140,8 +138,9 @@ class SettingsQuad:
     b_prime: float
 
     def __post_init__(self) -> None:
-        for name in ("a", "b", "a_prime", "b_prime"):
-            object.__setattr__(self, name, normalize_degrees(getattr(self, name)))
+        axes = self.__dict__
+        for name in self._fields:
+            axes[name] = normalize_degrees(axes[name])
 
     @classmethod
     def of(cls, a: float, b: float, a_prime: float, b_prime: float) -> "SettingsQuad":
@@ -288,6 +287,8 @@ def detection_inequality(
     primed_total = coincidence_total(rates_apbp)
     singles_terms: list[float] = []
     for side, arg, singles in (("a'", "singles_ap", singles_ap), ("b'", "singles_bp", singles_bp)):
+        if len(singles) != 2:
+            raise ValidationError(f"{arg} must hold 2 values (D+, D-), got {len(singles)}")
         require_nonnegative((f"{arg}[0]", f"{arg}[1]"), singles)
         d_plus, d_minus = singles
         singles_terms += _singles_ratios(d_plus, d_minus, f"singles total ({side})")
@@ -437,8 +438,7 @@ def _detection_plane(source: qm.RealSource) -> tuple[float, float]:
     return f, 1.0 - f
 
 
-@dataclass(frozen=True)
-class Form:
+class Form(Record):
     """How one named inequality is evaluated from quantum closed forms.
 
     source is the qm source class whose predictions feed it. A symmetric

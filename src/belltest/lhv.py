@@ -15,7 +15,6 @@ import functools
 import itertools
 import math
 import os
-from dataclasses import dataclass
 
 from .core import (
     CELL_NAMES,
@@ -25,6 +24,7 @@ from .core import (
     Outcome,
     OUTCOMES,
     PairProbabilities,
+    Record,
     ValidationError,
     require_distribution,
 )
@@ -34,8 +34,7 @@ class ModelFileError(BellTestError, ValueError):
     """A four-axis model file is malformed or inconsistent."""
 
 
-@dataclass(frozen=True)
-class DeterministicAssignment:
+class DeterministicAssignment(Record):
     """Predetermined outcomes for both photons at both possible settings."""
 
     a: Outcome
@@ -68,8 +67,7 @@ def assignment_index(assignment: DeterministicAssignment) -> int:
     return enumerate_assignments().index(assignment)
 
 
-@dataclass(frozen=True)
-class FourAxisModel:
+class FourAxisModel(Record):
     """Probability distribution over the 81 deterministic assignments.
 
     Weights are stored in canonical enumeration order. Existence of such
@@ -161,8 +159,7 @@ CASE_SETTINGS: tuple[tuple[Outcome, Outcome], ...] = (
 EXPECTED_CASE_BOUNDS: tuple[int, ...] = (-1, -1, -3, -3, -2, -2, -2, -2, -1)
 
 
-@dataclass(frozen=True)
-class CaseBound:
+class CaseBound(Record):
     """Minimum of the three-product sum for one fixed primed-outcome pair."""
 
     a_prime: Outcome
@@ -175,8 +172,7 @@ class CaseBound:
         return self.min_three_term == self.expected
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(Record):
     """Result of exhaustively evaluating the functional on all 81 assignments."""
 
     min_functional_value: int

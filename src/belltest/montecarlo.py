@@ -14,7 +14,6 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import math
-from dataclasses import dataclass
 from typing import ClassVar, Iterator
 
 import numpy as np
@@ -26,6 +25,7 @@ from .core import (
     PAIRS,
     BellTestError,
     EventDistribution,
+    Record,
     ValidationError,
     require_in_range,
     require_nonnegative,
@@ -61,8 +61,7 @@ def derive_seed(master: int, *indices: int | str) -> int:
     return int.from_bytes(hashlib.sha256(payload).digest()[:8], "little")
 
 
-@dataclass(frozen=True)
-class CoincidenceCounters:
+class CoincidenceCounters(Record):
     """Outcome-cell counts for one setting pair over n_emitted emissions."""
 
     n_emitted: int
@@ -78,7 +77,7 @@ class CoincidenceCounters:
 
     def __post_init__(self) -> None:
         cells = self.cells()
-        require_nonnegative(("n_emitted", *CELL_NAMES), (self.n_emitted, *cells))
+        require_nonnegative(self._fields, self._values())
         if sum(cells) != self.n_emitted:
             raise ValidationError(
                 f"cells sum to {sum(cells)}, expected n_emitted = {self.n_emitted}"
@@ -305,8 +304,7 @@ def sample_pair_events(dist: EventDistribution, n: int, seed: int) -> Coincidenc
     return CoincidenceCounters(n, *(int(c) for c in total))
 
 
-@dataclass(frozen=True)
-class LhvSource:
+class LhvSource(Record):
     """Simulation source: each emission draws one four-axis assignment."""
 
     kind: ClassVar[str] = "lhv"
@@ -317,8 +315,7 @@ class LhvSource:
 Source = qm.IdealSource | qm.RealSource | LhvSource
 
 
-@dataclass(frozen=True)
-class RunPlan:
+class RunPlan(Record):
     """Everything needed to reproduce one experiment byte for byte."""
 
     quad: SettingsQuad
@@ -353,8 +350,7 @@ def run_experiment(plan: RunPlan, workers: int = 1) -> dict[str, CoincidenceCoun
     return results
 
 
-@dataclass(frozen=True)
-class EstimatedReport:
+class EstimatedReport(Record):
     """An inequality report with its sampling uncertainty attached."""
 
     report: InequalityReport

@@ -17,14 +17,13 @@ one a-plane at a time in O(n^2) memory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Iterator
 
 import numpy as np
 
 from . import qm
-from .core import ValidationError, require_in_range
+from .core import Record, ValidationError, require_in_range
 from .inequalities import (  # noqa: F401 - the scan limits are re-exported
     INEQUALITIES,
     MAX_AXIS_POINTS,
@@ -37,8 +36,7 @@ from .inequalities import (  # noqa: F401 - the scan limits are re-exported
 )
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(Record):
     """Best quad found by a scan; lhs_planes gives the grid samples.
 
     surface is always None. perfbench/tracing.py reads it from every

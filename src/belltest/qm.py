@@ -14,7 +14,6 @@ aperture factors take these closed forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import ClassVar
 
 from .core import (
@@ -23,6 +22,7 @@ from .core import (
     DetectionRates,
     EventDistribution,
     PairProbabilities,
+    Record,
     cos_double_angle,
     normalize_degrees,
     require_in_range,
@@ -62,8 +62,7 @@ def depolarization_factor(phi_deg: float) -> float:
     return 1.0 - (2.0 / 3.0) * (1.0 - c) ** 2
 
 
-@dataclass(frozen=True)
-class CascadeGeometry:
+class CascadeGeometry(Record):
     """Detector efficiency and aperture for a real cascade experiment.
 
     eta is the detector quantum efficiency, phi_deg the half-aperture of
@@ -171,15 +170,13 @@ def complete_detection_rates(rates: DetectionRates) -> EventDistribution:
     return PairProbabilities(*rates.doubles(), **completions, zz=max(missed_both, 0.0))
 
 
-@dataclass(frozen=True)
-class IdealSource:
+class IdealSource(Record):
     """Simulation source: ideal polarizers and detectors."""
 
     kind: ClassVar[str] = "qm-ideal"
 
 
-@dataclass(frozen=True)
-class RealSource:
+class RealSource(Record):
     """Simulation source: finite-aperture detection model."""
 
     kind: ClassVar[str] = "qm-real"

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from belltest import core, montecarlo, optimizer, qm
+from belltest import core, inequalities, lhv, montecarlo, optimizer, qm
 from belltest.core import (
     DetectionRates,
     Outcome,
@@ -197,11 +197,11 @@ class TestDetectionRates:
                 d_plus_1=0.1, d_minus_1=0.5, d_plus_2=0.5, d_minus_2=0.5,
             )
 
-    @pytest.mark.parametrize("field", DetectionRates._FIELDS)
+    @pytest.mark.parametrize("field", DetectionRates._fields)
     @pytest.mark.parametrize("value", [-1e-13, -5e-324, math.nan, math.inf, -math.inf])
     def test_negative_or_non_finite_field_is_named(self, field, value):
         # No CELL_TOL slack on nonnegativity: the error names the field as given.
-        fields = dict(zip(DetectionRates._FIELDS, (0.25, 0.25, 0.25, 0.25, 0.5, 0.5, 0.5, 0.5)))
+        fields = dict(zip(DetectionRates._fields, (0.25, 0.25, 0.25, 0.25, 0.5, 0.5, 0.5, 0.5)))
         fields[field] = value
         with pytest.raises(ValidationError) as info:
             DetectionRates(**fields)
@@ -391,3 +391,124 @@ class TestRangeRule:
             optimizer.lhs_planes("chsh", IDEAL, NAN)
         with pytest.raises(ValidationError, match="step_deg"):
             optimizer.grid_scan("ternary", IDEAL, NAN, NAN)
+
+
+_QUAD = SettingsQuad(0.0, 120.0, 240.0, 240.0)
+_CASE = lhv.CaseBound(Outcome.PLUS, Outcome.MINUS, -1, -1)
+_ASSIGNMENT = lhv.DeterministicAssignment(Outcome.PLUS, Outcome.ZERO, Outcome.MINUS, Outcome.PLUS)
+_REPORT_ARGS = ("ternary", -1.5, -1.0, -0.5, True, 1.5)
+_REPORT = inequalities.InequalityReport(*_REPORT_ARGS)
+
+RECORD_ARGS = {
+    # Every field positionally, in field order.
+    PairProbabilities: (0.25, 0.25, 0.25, 0.25, 0.0, 0.0, 0.0, 0.0, 0.0),
+    SinglesProbabilities: (0.5, 0.0, 0.5),
+    DetectionRates: (0.25, 0.25, 0.25, 0.25, 0.5, 0.5, 0.5, 0.5),
+    inequalities.InequalityReport: _REPORT_ARGS,
+    SettingsQuad: (0.0, 120.0, 60.0, 60.0),
+    inequalities.Form: (qm.IdealSource, False, inequalities.FORMS["chsh"].evaluate, None),
+    lhv.DeterministicAssignment: (Outcome.PLUS, Outcome.ZERO, Outcome.MINUS, Outcome.PLUS),
+    lhv.FourAxisModel: ((1.0 / 81.0,) * 81,),
+    lhv.CaseBound: (Outcome.PLUS, Outcome.MINUS, -1, -1),
+    lhv.TheoremReport: (-1, (_ASSIGNMENT,), (_CASE,), True),
+    qm.CascadeGeometry: (0.2, 30.0, None),
+    qm.IdealSource: (),
+    qm.RealSource: (GEOM_F1,),
+    montecarlo.CoincidenceCounters: (10, 1, 1, 1, 1, 1, 1, 1, 1, 2),
+    montecarlo.LhvSource: (lhv.FourAxisModel.uniform(),),
+    montecarlo.RunPlan: (_QUAD, 1000, 7, qm.IdealSource()),
+    montecarlo.EstimatedReport: (_REPORT, 0.1, 5.0),
+    optimizer.ScanResult: (_QUAD, -1.5, 1.5, None),
+}
+WITH_FIELDS = [cls for cls, args in RECORD_ARGS.items() if args]
+
+
+def _package_records(base=core.Record):
+    for cls in base.__subclasses__():
+        if cls.__module__.startswith("belltest."):
+            yield cls
+        yield from _package_records(cls)
+
+
+def _name(cls):
+    return cls.__name__
+
+
+class TestRecordContract:
+    """Every core.Record in the package keeps the frozen-record contract."""
+
+    def test_every_package_record_is_covered(self):
+        assert set(_package_records()) == set(RECORD_ARGS)
+
+    @pytest.mark.parametrize("cls", RECORD_ARGS, ids=_name)
+    def test_equality_and_hash_follow_the_field_tuple(self, cls):
+        args = RECORD_ARGS[cls]
+        record = cls(*args)
+        assert record._values() == args and len(cls._fields) == len(args)
+        assert record == cls(*args) and not record != cls(*args)
+        assert hash(record) == hash(cls(*args)) == hash(args)
+        assert cls(**dict(zip(cls._fields, args))) == record
+        assert cls(*args[:1], **dict(zip(cls._fields[1:], args[1:]))) == record
+
+    @pytest.mark.parametrize("cls", RECORD_ARGS, ids=_name)
+    def test_never_equals_a_tuple_or_another_class(self, cls):
+        args = RECORD_ARGS[cls]
+        record = cls(*args)
+        twin = type(f"Twin{cls.__name__}", (cls,), {"__module__": __name__})(*args)
+        assert twin._values() == args
+        for other in (args, twin, qm.IdealSource() if cls is not qm.IdealSource else _QUAD):
+            assert record != other and not record == other
+            assert record.__eq__(other) is NotImplemented
+
+    @pytest.mark.parametrize("cls", RECORD_ARGS, ids=_name)
+    def test_fields_cannot_be_assigned_or_deleted(self, cls):
+        record = cls(*RECORD_ARGS[cls])
+        for name in (*cls._fields, "not_a_field"):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(record, name, 0)
+            with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+                delattr(record, name)
+        assert record._values() == RECORD_ARGS[cls]
+
+    @pytest.mark.parametrize("cls", WITH_FIELDS, ids=_name)
+    def test_bad_arguments_raise_type_error(self, cls):
+        args = RECORD_ARGS[cls]
+        first = cls._fields[0]
+        with pytest.raises(TypeError, match=f"missing required arguments: '{first}'"):
+            cls(**dict(zip(cls._fields[1:], args[1:])))
+        with pytest.raises(TypeError, match=f"takes {len(args)} arguments but {len(args) + 1} were given"):
+            cls(*args, 0)
+        with pytest.raises(TypeError, match="unexpected keyword argument 'not_a_field'"):
+            cls(*args, not_a_field=0)
+        with pytest.raises(TypeError, match=f"multiple values for argument '{first}'"):
+            cls(*args, **{first: args[0]})
+
+    def test_defaults(self):
+        assert PairProbabilities(0.25, 0.25, 0.25, 0.25).cells()[4:] == (0.0,) * 5
+        assert qm.CascadeGeometry(0.2, 30.0).f_override is None
+        assert qm.CascadeGeometry(eta=0.2, phi_deg=30.0) == qm.CascadeGeometry(0.2, 30.0, None)
+        assert optimizer.ScanResult(_QUAD, -1.5, 1.5).surface is None
+        assert montecarlo.CoincidenceCounters(0).cells() == (0,) * 9
+
+    @pytest.mark.parametrize("cls, kind", [
+        (qm.IdealSource, "qm-ideal"), (qm.RealSource, "qm-real"), (montecarlo.LhvSource, "lhv"),
+    ], ids=["IdealSource", "RealSource", "LhvSource"])
+    def test_source_kind_is_a_class_constant_not_a_field(self, cls, kind):
+        assert "kind" not in cls._fields
+        assert cls.kind == cls(*RECORD_ARGS[cls]).kind == kind
+
+    def test_field_order_is_the_cell_order(self):
+        assert PairProbabilities._fields == core.CELL_NAMES
+        assert montecarlo.CoincidenceCounters._fields == ("n_emitted", *core.CELL_NAMES)
+
+    def test_reprs_are_pinned(self):
+        # Strings taken from the frozen-dataclass records these replace.
+        assert repr(PairProbabilities(0.1, 0.2, 0.3, 0.4)) == (
+            "PairProbabilities(pp=0.1, pm=0.2, mp=0.3, mm=0.4, pz=0.0, zp=0.0, mz=0.0, zm=0.0, zz=0.0)"
+        )
+        assert repr(SettingsQuad(-30, 400, 12.25, 179.99)) == (
+            "SettingsQuad(a=150.0, b=40.0, a_prime=12.25, b_prime=179.99)"
+        )
+        assert repr(qm.CascadeGeometry(eta=0.37, phi_deg=41.3)) == (
+            "CascadeGeometry(eta=0.37, phi_deg=41.3, f_override=None)"
+        )

@@ -46,6 +46,14 @@ def test_light_command_imports_no_numpy(argv):
     assert not [m for m in modules if m == "numpy" or m.startswith("numpy.")]
 
 
+@pytest.mark.parametrize("argv", LIGHT_COMMANDS, ids=" ".join)
+def test_light_command_imports_no_dataclasses_or_inspect(argv):
+    # Records are core.Record classes: no per-class code generation at start-up.
+    result = _python("-X", "importtime", "-m", "belltest", *argv)
+    assert result.returncode == 0, result.stderr
+    assert not _imported_modules(result.stderr) & {"dataclasses", "inspect"}
+
+
 def test_mc_still_imports_numpy():
     argv = ["mc", "--pairs", "1000", "--source", "qm-ideal"]
     result = _python("-X", "importtime", "-m", "belltest", *argv)
@@ -55,6 +63,15 @@ def test_mc_still_imports_numpy():
 
 def test_package_import_leaves_numpy_out():
     code = "import sys, belltest; assert 'numpy' not in sys.modules, sorted(sys.modules)"
+    result = _python("-c", code)
+    assert result.returncode == 0, result.stderr
+
+
+def test_package_import_leaves_dataclasses_and_inspect_out():
+    code = (
+        "import sys, belltest; loaded = {'dataclasses', 'inspect'} & set(sys.modules); "
+        "assert not loaded, loaded"
+    )
     result = _python("-c", code)
     assert result.returncode == 0, result.stderr
 

@@ -267,6 +267,14 @@ class TestMeasurableInputValidation:
         with pytest.raises(ValidationError, match=rf"^{arg}\[{slot}\] must be finite and >= 0"):
             detection_inequality(**inputs)
 
+    @pytest.mark.parametrize("length", [0, 1, 3])
+    @pytest.mark.parametrize("arg", ["singles_ap", "singles_bp"])
+    def test_detection_rejects_singles_of_wrong_length(self, arg, length):
+        # A third value used to go unchecked; one or none failed to unpack.
+        inputs = dict(detection_inputs(GEOM_F1), **{arg: (0.3,) * length})
+        with pytest.raises(ValidationError, match=rf"^{arg} must hold 2 values \(D\+, D-\), got {length}$"):
+            detection_inequality(**inputs)
+
     @pytest.mark.parametrize("bad", BAD_VALUES)
     @pytest.mark.parametrize("arg", list(SYMMETRIC_ARGS))
     def test_symmetric_rejects_bad_inputs(self, arg, bad):
