@@ -15,7 +15,6 @@ from . import core, inequalities, lhv, qm
 from .core import (
     BellTestError,
     DetectionRates,
-    EventDistribution,
     Outcome,
     PairProbabilities,
     SinglesProbabilities,
@@ -31,7 +30,6 @@ __all__ = [
     "BellTestError",
     "DetectionRates",
     "DeterministicAssignment",
-    "EventDistribution",
     "FourAxisModel",
     "InequalityReport",
     "Outcome",

@@ -76,14 +76,28 @@ def _print_report_csv(fields: dict[str, Any]) -> None:
 
 
 def _report_fields(report: InequalityReport) -> dict[str, Any]:
-    return {
-        "name": report.name,
-        "lhs": report.lhs,
-        "bound": report.bound,
-        "margin": report.margin,
-        "violation_factor": report.violation_factor,
-        "violated": report.violated,
+    fields = report._asdict()
+    fields["violated"] = fields.pop("violated")  # printed last, after violation_factor
+    return fields
+
+
+def _emit(
+    args: argparse.Namespace, source: object, fields: dict[str, Any], inputs: dict[str, Any]
+) -> None:
+    """Print a report: the fields as CSV, or as JSON followed by the inputs
+    and, for a qm-real source, its geometry. JSON has no infinity, so a
+    non-finite field (mc's sigma_distance at zero spread; margin keeps the
+    sign) prints as null there."""
+    if args.format == "csv":
+        _print_report_csv(fields)
+        return
+    if isinstance(source, qm.RealSource):
+        inputs = {**inputs, **source.geometry._asdict()}
+    finite = {
+        name: None if isinstance(value, float) and not math.isfinite(value) else value
+        for name, value in fields.items()
     }
+    _print_json({**finite, "inputs": inputs})
 
 
 def _parse_float_list(text: str, flag: str) -> list[float]:
@@ -133,14 +147,7 @@ def _resolve_source(args: argparse.Namespace) -> montecarlo.Source:
 
 
 def _quad_echo(quad: SettingsQuad) -> dict[str, Any]:
-    a, b, ap, bp = quad.axes_degrees()
-    return {
-        "a": a,
-        "b": b,
-        "a_prime": ap,
-        "b_prime": bp,
-        "differences": list(quad.differences()),
-    }
+    return {**quad._asdict(), "differences": list(quad.differences())}
 
 
 # ---------------------------------------------------------------------------
@@ -158,12 +165,7 @@ def _cmd_verify_theorem(args: argparse.Namespace) -> int:
         "n_assignments": len(assignments),
         "tight_assignments": [s.key() for s in report.argmin_assignments],
         "case_bounds": [
-            {
-                "a_prime": case.a_prime.symbol,
-                "b_prime": case.b_prime.symbol,
-                "min_three_term": case.min_three_term,
-                "expected": case.expected,
-            }
+            {**case._asdict(), "a_prime": case.a_prime.symbol, "b_prime": case.b_prime.symbol}
             for case in report.case_bounds
         ],
         "functional_values": {
@@ -186,17 +188,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if form.symmetric:
         require_symmetric(quad, f"--ineq {args.ineq}")
     report = form.evaluate(quad, source)
-    inputs: dict[str, Any] = {
-        "ineq": args.ineq,
-        "source": args.source,
-        "quad": _quad_echo(quad),
-    }
-    if args.source == "qm-real":
-        inputs.update(eta=args.eta, phi_deg=args.phi, f_override=args.force_f)
-    if args.format == "csv":
-        _print_report_csv(_report_fields(report))
-    else:
-        _print_json({**_report_fields(report), "inputs": inputs})
+    inputs = {"ineq": args.ineq, "source": args.source, "quad": _quad_echo(quad)}
+    _emit(args, source, _report_fields(report), inputs)
     return 0
 
 
@@ -248,23 +241,16 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     fields = _report_fields(estimated.report)
     fields["std_error"] = estimated.std_error
     fields["sigma_distance"] = estimated.sigma_distance
-    if args.format == "csv":
-        _print_report_csv(fields)
-    else:
-        inputs: dict[str, Any] = {
-            "source": args.source,
-            "quad": _quad_echo(quad),
-            "pairs_per_setting": args.pairs,
-            "seed": seed,
-            "workers": args.workers,
-        }
-        if args.source == "qm-real":
-            inputs.update(eta=args.eta, phi_deg=args.phi, f_override=args.force_f)
-        if args.source == "lhv":
-            inputs["model"] = args.model
-        if not math.isfinite(estimated.sigma_distance):
-            fields["sigma_distance"] = None  # JSON has no infinity; margin keeps the sign
-        _print_json({**fields, "inputs": inputs})
+    inputs: dict[str, Any] = {
+        "source": args.source,
+        "quad": _quad_echo(quad),
+        "pairs_per_setting": args.pairs,
+        "seed": seed,
+        "workers": args.workers,
+    }
+    if args.source == "lhv":
+        inputs["model"] = args.model
+    _emit(args, plan.source, fields, inputs)
     return 0
 
 
@@ -330,25 +316,18 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         axes, planes = optimizer.lhs_planes(args.ineq, source, args.step)
         _write_surface(args.surface, axes.tolist(), planes)
 
-    payload: dict[str, Any] = {
-        "ineq": args.ineq,
-        "source": args.source,
-        "best_quad": _quad_echo(result.best_quad),
-        "best_lhs": result.best_lhs,
-        "best_factor": result.best_factor,
-        "step_deg": args.step,
-        "refine_rounds": args.rounds,
-    }
+    best = {"best_lhs": result.best_lhs, "best_factor": result.best_factor}
     if args.format == "csv":
-        a, b, ap, bp = result.best_quad.axes_degrees()
-        _print_report_csv(
-            {
-                "a": a, "b": b, "a_prime": ap, "b_prime": bp,
-                "best_lhs": result.best_lhs, "best_factor": result.best_factor,
-            }
-        )
+        _print_report_csv({**result.best_quad._asdict(), **best})
     else:
-        _print_json(payload)
+        _print_json({
+            "ineq": args.ineq,
+            "source": args.source,
+            "best_quad": _quad_echo(result.best_quad),
+            **best,
+            "step_deg": args.step,
+            "refine_rounds": args.rounds,
+        })
     return 0
 
 

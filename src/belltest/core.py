@@ -11,9 +11,10 @@ Every value type in the package is a Record: a frozen class whose fields
 are its annotations, in order, with defaults from class attributes. Record
 gives them one generic constructor (then __post_init__ for validation),
 equality and hashing by exact class and field tuple, a `Name(field=value)`
-repr, and AttributeError on assignment or deletion. The methods live
-once on the base class: no per-class code is generated and `inspect` is
-never imported, which takes about 25 ms off every command's start-up.
+repr, `_asdict()` (fields by name; echoes read it), and AttributeError
+on assignment or deletion. The methods live once on the base class: no
+per-class code is generated and `inspect` is never imported, which takes
+about 25 ms off every command's start-up.
 """
 
 from __future__ import annotations
@@ -95,6 +96,10 @@ class Record:
 
     def _values(self) -> tuple[Any, ...]:
         return tuple([self.__dict__[f] for f in self._fields])
+
+    def _asdict(self) -> dict[str, Any]:
+        """Fields by name, in _fields order."""
+        return {f: self.__dict__[f] for f in self._fields}
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -247,15 +252,10 @@ class PairProbabilities(Record):
         require_distribution("cells", _CELL_LABELS, self.cells())
 
     def cells(self) -> tuple[float, ...]:
-        return tuple(getattr(self, name) for name in CELL_NAMES)
+        return self._values()  # fields are CELL_NAMES
 
     def prob(self, i: Outcome, j: Outcome) -> float:
         return getattr(self, CELL_NAMES[CELL_OUTCOMES.index((i, j))])
-
-
-# The per-emission sample space handed to the Monte Carlo sampler is the
-# same nine-cell object; the alias names the role, not a new type.
-EventDistribution = PairProbabilities
 
 
 class SinglesProbabilities(Record):
@@ -301,7 +301,7 @@ class DetectionRates(Record):
                 )
 
     def doubles(self) -> tuple[float, float, float, float]:
-        return (self.d_pp, self.d_pm, self.d_mp, self.d_mm)
+        return self._values()[:4]
 
     def partner_missed(self) -> dict[str, float]:
         """Completion cells pz, zp, mz, zm: detected on one side, partner missed.

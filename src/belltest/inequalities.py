@@ -148,14 +148,15 @@ class SettingsQuad(Record):
         return cls(a, b, a_prime, b_prime)
 
     def axes_degrees(self) -> tuple[float, float, float, float]:
-        return (self.a, self.b, self.a_prime, self.b_prime)
+        return self._values()
 
     def pair_axes(self) -> tuple[tuple[float, float], ...]:
         """(side-1, side-2) axes of each setting pair, in core.PAIRS order."""
         return tuple((getattr(self, x1), getattr(self, x2)) for x1, x2 in PAIRS.values())
 
     def differences(self) -> tuple[float, float, float, float]:
-        """Axis differences for the pairs (a,b), (b',a), (b,a'), (a',b')."""
+        """Axis differences a - b, b' - a, b - a', a' - b' (mod 180) of the four pairs; each
+        may read 180 - d where quad_from_differences got d, the same fringe (cos 2 theta is even)."""
         a, b, ap, bp = self.axes_degrees()
         return (
             normalize_degrees(a - b),
@@ -173,7 +174,11 @@ def quad_from_differences(
     d1 = (a,b), d2 = (b',a), d3 = (b,a'), d4 = (a',b'). Only three axes
     are free, so the four differences must be mutually consistent; the
     sign branches for b' and a' are searched in a fixed order and the
-    first branch whose primed-pair fringe matches cos(2 d4) wins.
+    first branch whose primed-pair fringe matches cos(2 d4) wins. The quad
+    has a = 0, b = d1, b' = +-d2 and a' = b +- d3, so SettingsQuad.differences
+    (a - b, b' - a, b - a', a' - b', mod 180) may echo 180 - d: (120, 120,
+    120, 0) echoes (60, 60, 60, 0) and (22.5, 22.5, 22.5, 67.5) echoes
+    (157.5, 157.5, 157.5, 67.5). cos 2 theta is even, so the fringes match.
     """
     if not all(math.isfinite(d) for d in (d1, d2, d3, d4)):
         raise ValidationError(f"differences must be finite, got ({d1}, {d2}, {d3}, {d4})")

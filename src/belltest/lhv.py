@@ -17,7 +17,6 @@ import math
 import os
 
 from .core import (
-    CELL_NAMES,
     CELL_OUTCOMES,
     PAIRS,
     BellTestError,
@@ -44,7 +43,7 @@ class DeterministicAssignment(Record):
 
     def key(self) -> str:
         """Four-character form over {+, 0, -} in field order."""
-        return "".join(o.symbol for o in (self.a, self.a_prime, self.b, self.b_prime))
+        return "".join(o.symbol for o in self._values())
 
     @classmethod
     def from_key(cls, key: str) -> "DeterministicAssignment":
@@ -118,7 +117,7 @@ def pair_probabilities(model: FourAxisModel, side1: str, side2: str) -> PairProb
     cells = dict.fromkeys(CELL_OUTCOMES, 0.0)
     for assignment, weight in zip(enumerate_assignments(), model.weights):
         cells[(getattr(assignment, side1), getattr(assignment, side2))] += weight
-    return PairProbabilities(**{name: cells[o] for name, o in zip(CELL_NAMES, CELL_OUTCOMES)})
+    return PairProbabilities(*cells.values())  # CELL_OUTCOMES order is the field order
 
 
 def bell_functional(assignment: DeterministicAssignment) -> int:

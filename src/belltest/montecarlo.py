@@ -24,7 +24,7 @@ from .core import (
     CELL_OUTCOMES,
     PAIRS,
     BellTestError,
-    EventDistribution,
+    PairProbabilities,
     Record,
     ValidationError,
     require_in_range,
@@ -84,7 +84,7 @@ class CoincidenceCounters(Record):
             )
 
     def cells(self) -> tuple[int, ...]:
-        return tuple(getattr(self, name) for name in CELL_NAMES)
+        return self._values()[1:]  # the fields after n_emitted are CELL_NAMES
 
     @property
     def coincidences(self) -> int:
@@ -277,19 +277,19 @@ def _draw_chunks(
             yield generator.multinomial(size, p)
 
 
-def _cell_probabilities(dist: EventDistribution | CoincidenceCounters) -> np.ndarray:
+def _cell_probabilities(dist: PairProbabilities | CoincidenceCounters) -> np.ndarray:
     p = np.asarray(dist.cells(), dtype=np.float64)
     return p / p.sum()
 
 
 def sample_chunk(
-    dist: EventDistribution, pair_seed: int, chunk_index: int, count: int
+    dist: PairProbabilities, pair_seed: int, chunk_index: int, count: int
 ) -> np.ndarray:
     """Multinomial cell counts for one chunk, from its derived stream."""
     return next(_draw_chunks(_cell_probabilities(dist), pair_seed, chunk_index, (count,)))
 
 
-def sample_pair_events(dist: EventDistribution, n: int, seed: int) -> CoincidenceCounters:
+def sample_pair_events(dist: PairProbabilities, n: int, seed: int) -> CoincidenceCounters:
     """Sample n emissions at one setting pair; deterministic in (seed, n).
 
     Chunks are drawn one after another in the calling thread: each chunk
@@ -327,7 +327,7 @@ class RunPlan(Record):
         require_in_range("pairs_per_setting", self.pairs_per_setting, 1, MAX_PAIRS_PER_SETTING)
 
 
-def distribution_for(source: Source, quad: SettingsQuad, label: str) -> EventDistribution:
+def distribution_for(source: Source, quad: SettingsQuad, label: str) -> PairProbabilities:
     """Per-emission event distribution of a source at one setting pair."""
     side1, side2 = PAIRS[label]
     x1, x2 = getattr(quad, side1), getattr(quad, side2)
@@ -459,20 +459,16 @@ def counters_csv(counters_by_pair: dict[str, CoincidenceCounters]) -> str:
 
 def _describe_source(source: Source) -> str:
     if isinstance(source, qm.RealSource):
-        g = source.geometry
-        return f"{source.kind} eta={g.eta!r} phi_deg={g.phi_deg!r} f_override={g.f_override!r}"
+        geometry = (f"{name}={value!r}" for name, value in source.geometry._asdict().items())
+        return " ".join((source.kind, *geometry))
     return source.kind
 
 
 def run_manifest(plan: RunPlan, counters_by_pair: dict[str, CoincidenceCounters]) -> str:
     """Byte-stable text record of a run: plan echo plus count totals."""
-    a, b, ap, bp = plan.quad.axes_degrees()
     lines = [
         "belltest run manifest",
-        f"quad_a={a!r}",
-        f"quad_b={b!r}",
-        f"quad_a_prime={ap!r}",
-        f"quad_b_prime={bp!r}",
+        *(f"quad_{name}={value!r}" for name, value in plan.quad._asdict().items()),
         f"pairs_per_setting={plan.pairs_per_setting}",
         f"seed={plan.seed}",
         f"source={_describe_source(plan.source)}",

@@ -20,7 +20,6 @@ from .core import (
     CELL_TOL,
     BellTestError,
     DetectionRates,
-    EventDistribution,
     PairProbabilities,
     Record,
     cos_double_angle,
@@ -126,10 +125,7 @@ def detection_rates(a: float, b: float, geom: CascadeGeometry) -> DetectionRates
     fringe = geom.f_factor * cos_double_angle(diff)
     like = shared * (1.0 + fringe)
     unlike = shared * (1.0 - fringe)
-    return DetectionRates(
-        d_pp=like, d_pm=unlike, d_mp=unlike, d_mm=like,
-        d_plus_1=single, d_minus_1=single, d_plus_2=single, d_minus_2=single,
-    )
+    return DetectionRates(like, unlike, unlike, like, single, single, single, single)
 
 
 def predict_coincidence_total(geom: CascadeGeometry) -> float:
@@ -143,7 +139,7 @@ def predict_singles_total(geom: CascadeGeometry) -> float:
     return geom.eta * solid_angle(geom.phi_deg) / (4.0 * math.pi)
 
 
-def event_distribution(a: float, b: float, geom: CascadeGeometry) -> EventDistribution:
+def event_distribution(a: float, b: float, geom: CascadeGeometry) -> PairProbabilities:
     """Per-emission sample space completing the measurable rates.
 
     The four detected-coincidence cells equal the closed-form doubles.
@@ -157,7 +153,7 @@ def event_distribution(a: float, b: float, geom: CascadeGeometry) -> EventDistri
     return complete_detection_rates(rates)
 
 
-def complete_detection_rates(rates: DetectionRates) -> EventDistribution:
+def complete_detection_rates(rates: DetectionRates) -> PairProbabilities:
     """Extend detected rates to nine cells; partner-missed cells are clamped at 0."""
     completions = {name: max(value, 0.0) for name, value in rates.partner_missed().items()}
     partial = math.fsum((*rates.doubles(), *completions.values()))

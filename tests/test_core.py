@@ -449,6 +449,7 @@ class TestRecordContract:
         assert hash(record) == hash(cls(*args)) == hash(args)
         assert cls(**dict(zip(cls._fields, args))) == record
         assert cls(*args[:1], **dict(zip(cls._fields[1:], args[1:]))) == record
+        assert list(record._asdict().items()) == list(zip(cls._fields, args))
 
     @pytest.mark.parametrize("cls", RECORD_ARGS, ids=_name)
     def test_never_equals_a_tuple_or_another_class(self, cls):
@@ -500,6 +501,14 @@ class TestRecordContract:
     def test_field_order_is_the_cell_order(self):
         assert PairProbabilities._fields == core.CELL_NAMES
         assert montecarlo.CoincidenceCounters._fields == ("n_emitted", *core.CELL_NAMES)
+        for cls, accessor, part in (
+            (PairProbabilities, "cells", slice(None)),
+            (montecarlo.CoincidenceCounters, "cells", slice(1, None)),
+            (DetectionRates, "doubles", slice(4)),
+            (SettingsQuad, "axes_degrees", slice(None)),
+        ):
+            record = cls(*RECORD_ARGS[cls])
+            assert getattr(record, accessor)() == record._values()[part] == RECORD_ARGS[cls][part]
 
     def test_reprs_are_pinned(self):
         # Strings taken from the frozen-dataclass records these replace.

@@ -8,7 +8,9 @@ the code before that normalization moved into SettingsQuad. The mc stdout
 digests (lhs, std_error and sigma_distance at each source) were taken from
 the code before the distribution records shared one validation rule. The
 verify-theorem and lhv counters digests were taken from the code before the
-outcome-table sums, completions and indexes were derived from core.
+outcome-table sums, completions and indexes were derived from core. The
+qm-ideal 3000000-pair stdout and counters digests are the ones the CI
+entry-point step checks.
 """
 
 import hashlib
@@ -65,17 +67,19 @@ def test_verify_theorem_stdout_is_pinned(capsys):
     )
 
 
-def test_lhv_counters_are_pinned(capsys, tmp_path):
-    model = tmp_path / "random3.lhv"
-    counters = tmp_path / "counters.csv"
-    lhv.save_model(lhv.random_model(3), model)
-    argv = ["mc", "--source", "lhv", "--model", str(model), "--pairs", "200000", "--seed", "5",
-            "--counters", str(counters)]
-    assert main(argv) == 0
+@pytest.mark.parametrize("argv,digest", [
+    (["--source", "lhv", "--model", "random3.lhv", "--pairs", "200000", "--seed", "5"],
+     "fc5c46ab0cc0d7b8be2f727e1285835677d53c9a63c585c88271c6110d7a1693"),
+    # Three chunks per setting pair: the sampler's raw PCG64 state writes.
+    (["--source", "qm-ideal", "--pairs", "3000000", "--seed", "7"],
+     "e49d88753e6235b33bb59b387c2aca42bdbe67845178cbac5af553c64c114fdf"),
+], ids=["lhv", "qm-ideal"])
+def test_mc_counters_are_pinned(capsys, tmp_path, monkeypatch, argv, digest):
+    monkeypatch.chdir(tmp_path)
+    lhv.save_model(lhv.random_model(3), "random3.lhv")
+    assert main(["mc", *argv, "--counters", "counters.csv"]) == 0
     capsys.readouterr()
-    assert sha256(counters.read_text(encoding="utf-8")) == (
-        "fc5c46ab0cc0d7b8be2f727e1285835677d53c9a63c585c88271c6110d7a1693"
-    )
+    assert sha256((tmp_path / "counters.csv").read_text(encoding="utf-8")) == digest
 
 
 def test_negative_angles_after_a_space_match_the_pin(capsys):
@@ -121,6 +125,9 @@ MC = ["--pairs", "200000", "--seed", "5"]
      "325b88ca323e9fa766444f3d5055fba233b512e0baa99f4f55e9d22b81fa2c03"),
     (["--source", "qm-ideal", "--diffs", "0,0,0", "--pairs", "1000"], "csv",
      "7d81c422607a8969b320f006a9fa295fad33053d14bd62619a7be46befd17ff0"),
+    # The default quad, three chunks per setting pair.
+    (["--source", "qm-ideal", "--pairs", "3000000", "--seed", "7"], "json",
+     "40fd4b38ed04474b5013675041e59005e28c35c76f863ffcb48360444a19f40f"),
 ])
 def test_mc_stdout_is_pinned(capsys, tmp_path, monkeypatch, argv, fmt, digest):
     # The JSON echoes the --model path, so the model is read by relative name.
