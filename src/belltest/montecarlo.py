@@ -14,11 +14,11 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import math
-from typing import ClassVar, Iterator
+from typing import TYPE_CHECKING, ClassVar, Iterator
 
 import numpy as np
 
-from . import lhv, qm
+from . import qm
 from .core import (
     CELL_NAMES,
     CELL_OUTCOMES,
@@ -31,6 +31,9 @@ from .core import (
     require_nonnegative,
 )
 from .inequalities import InequalityReport, SettingsQuad, detection_inequality_symmetric
+
+if TYPE_CHECKING:
+    from . import lhv
 
 CHUNK_EMISSIONS = 1 << 20
 """Emissions per sampling chunk; part of the determinism contract."""
@@ -336,6 +339,8 @@ def distribution_for(source: Source, quad: SettingsQuad, label: str) -> PairProb
     if isinstance(source, qm.RealSource):
         return qm.event_distribution(x1, x2, source.geometry)
     if isinstance(source, LhvSource):
+        from . import lhv
+
         return lhv.pair_probabilities(source.model, side1, side2)
     raise ValidationError(f"unknown source type {type(source).__name__}")
 
