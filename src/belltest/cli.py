@@ -7,13 +7,14 @@ All commands are deterministic given their flags; the Monte Carlo seed
 falls back to the BELLTEST_SEED environment variable, then to 0.
 
 Each command loads only the layers it runs: this module loads core,
-inequalities and qm, all that eval needs; lhv loads inside verify-theorem
-and mc --source lhv, and montecarlo and optimizer (with numpy) inside
-the mc and scan handlers. So verify-theorem and eval start without
-numpy, and eval, scan and mc at a qm source skip lhv's compile from
-source (2.2 ms, best of 20 on 2 vCPUs, PYTHONDONTWRITEBYTECODE=1). A
-fresh ``import belltest`` adds under 3 ms to a bare interpreter's start,
-against 21-25 ms when it loaded core, inequalities, lhv and qm.
+inequalities and qm, all that eval needs, and never numpy; lhv loads
+inside verify-theorem and mc --source lhv, and montecarlo and optimizer,
+which import numpy, inside the mc and scan handlers. So verify-theorem
+and eval start without numpy, and eval, scan and mc at a qm source skip
+lhv's compile from source (2.2 ms, best of 20 on 2 vCPUs,
+PYTHONDONTWRITEBYTECODE=1). A fresh ``import belltest`` adds under 3 ms
+to a bare interpreter's start, against 21-25 ms when it loaded core,
+inequalities, lhv and qm.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import math
 import os
 import re
 import sys
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from . import qm
 from .core import BellTestError, ValidationError, require_in_range
@@ -266,42 +267,6 @@ def _cmd_mc(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _write_surface(path: str, axes: Iterable[float], planes: Iterable[Any]) -> None:
-    """Write the scan surface CSV one a-plane at a time, as planes arrive.
-
-    Each plane's lhs values are reduced to their distinct bit patterns and
-    each pattern is formatted with repr once: equal bits give equal repr
-    (a float key would merge -0.0 with 0.0), so the bytes match per-row repr.
-    """
-    import numpy as np
-
-    labels = [repr(value) for value in axes]
-    # a row is "a,b,a',b',lhs\n"; the plane's text alternates the cells
-    # ",b,a',b'," (row-major, as the planes) with "lhs\na", the lhs text
-    # followed by the next row's a, and drops the last, unneeded a
-    cells = [f",{b},{ap},{ap}," for b in labels for ap in labels]
-    items: list[str] = [""] * (2 * len(cells))
-    items[0::2] = cells
-    text_of: dict[int, str] = {}  # bit pattern -> repr, shared by the planes
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("a,b,a_prime,b_prime,lhs\n")
-        for a, plane in zip(labels, planes):
-            if len(text_of) > len(cells):
-                text_of.clear()  # O(n^2) memory even where planes share few values
-            bits, index = np.unique(plane.ravel().view(np.int64), return_inverse=True)
-            ends = np.array(
-                [
-                    f"{text_of.get(key) or text_of.setdefault(key, repr(value))}\n{a}"
-                    for key, value in zip(bits.tolist(), bits.view(np.float64).tolist())
-                ],
-                dtype=object,
-            )
-            items[1::2] = ends[index].tolist()
-            items[-1] = items[-1][: -len(a)]
-            handle.write(a)
-            handle.write("".join(items))
-
-
 def _cmd_scan(args: argparse.Namespace) -> int:
     from . import optimizer
 
@@ -320,8 +285,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         refine_rounds=args.rounds,
     )
     if args.surface is not None:
-        axes, planes = optimizer.lhs_planes(args.ineq, source, args.step)
-        _write_surface(args.surface, axes.tolist(), planes)
+        optimizer.write_surface(args.surface, *optimizer.lhs_planes(args.ineq, source, args.step))
 
     best = {"best_lhs": result.best_lhs, "best_factor": result.best_factor}
     if args.format == "csv":

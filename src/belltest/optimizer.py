@@ -12,13 +12,15 @@ with each form's plane formula, and a derivative-free coordinate
 refinement then halves the step around the incumbent in (b, a'),
 re-scoring candidates with the exact scalar evaluator so both
 computation paths stay honest. lhs_planes streams the full n^3 surface
-one a-plane at a time in O(n^2) memory.
+one a-plane at a time in O(n^2) memory, and write_surface writes it as
+the CSV of scan --surface as the planes arrive.
 """
 
 from __future__ import annotations
 
+import struct
 from itertools import product
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -91,6 +93,37 @@ def lhs_planes(
             yield scale * (row[:, None] + row[None, :] + fringes) + offset
 
     return axes, planes()
+
+
+class _ReprByBits(dict):
+    """float64 bit pattern -> the value's repr and a newline (a float key would merge -0.0, 0.0)."""
+
+    def __missing__(self, bits: int) -> str:
+        text = self[bits] = repr(struct.unpack("d", struct.pack("q", bits))[0]) + "\n"
+        return text
+
+
+def write_surface(path: str, axes: Iterable[float], planes: Iterable[np.ndarray]) -> None:
+    """Write lhs_planes' grid to path as CSV rows a,b,a_prime,b_prime,lhs.
+
+    Rows follow the planes: a in axis order, then (b, a') row-major, with
+    b' = a'. Every number prints as its repr, and each lhs text is made
+    once per bit pattern; the patterns are forgotten once they outnumber a
+    plane's cells, so memory stays O(n^2).
+    """
+    labels = [repr(float(value)) for value in axes]
+    cells = [f",{b},{ap},{ap}," for b in labels for ap in labels]
+    parts = [""] * (3 * len(cells))  # a, ",b,a',a',", lhs per row
+    parts[1::3] = cells
+    texts = _ReprByBits()
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write("a,b,a_prime,b_prime,lhs\n")
+        for a, plane in zip(labels, planes):
+            if len(texts) > len(cells):
+                texts.clear()
+            parts[0::3] = [a] * len(cells)
+            parts[2::3] = map(texts.__getitem__, plane.ravel().view(np.int64).tolist())
+            handle.write("".join(parts))
 
 
 def grid_scan(

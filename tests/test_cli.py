@@ -4,14 +4,13 @@ import math
 import os
 import subprocess
 import sys
-from itertools import product
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import belltest
-from belltest import cli, inequalities, lhv, montecarlo, optimizer, qm
+from belltest import inequalities, lhv, montecarlo, optimizer, qm
 from belltest.cli import main
 from belltest.core import SinglesProbabilities, cos_double_angle
 from belltest.inequalities import (
@@ -24,6 +23,7 @@ from belltest.inequalities import (
     ternary_inequality,
     ternary_inequality_symmetric,
 )
+from test_optimizer import surface_reference
 
 
 def run_cli(capsys, argv):
@@ -36,16 +36,6 @@ def run_json(capsys, argv):
     code, out, err = run_cli(capsys, argv)
     assert code == 0, f"stderr: {err}"
     return json.loads(out)
-
-
-def surface_reference(axes, planes):
-    """Surface CSV bytes with every number formatted by its own repr call."""
-    rows = [
-        f"{a!r},{b!r},{ap!r},{ap!r},{lhs!r}"
-        for a, plane in zip(axes, planes)
-        for (b, ap), lhs in zip(product(axes, repeat=2), plane.ravel().tolist())
-    ]
-    return ("\n".join(["a,b,a_prime,b_prime,lhs", *rows]) + "\n").encode("utf-8")
 
 
 class TestVerifyTheorem:
@@ -503,52 +493,6 @@ class TestScan:
         # The smallest accepted step gives exactly the budgeted axis.
         axis = np.arange(0.0, 180.0, inequalities.MIN_SURFACE_STEP_DEG)
         assert axis.size == inequalities.MAX_SURFACE_AXIS_POINTS
-
-
-class TestWriteSurface:
-    """cli._write_surface on synthetic planes, against per-value repr."""
-
-    @staticmethod
-    def write(tmp_path, axes, planes):
-        path = tmp_path / "surface.csv"
-        cli._write_surface(str(path), axes, iter(planes))
-        return path.read_bytes()
-
-    def test_signed_zeros_and_special_values(self, tmp_path):
-        # 0.0 and -0.0 share a plane (and compare equal); both recur in the
-        # second plane; 5e-324 is the smallest subnormal
-        planes = [
-            np.array([[0.0, -0.0], [5e-324, 1e16]]),
-            np.array([[-1.5, 0.1 + 0.2], [-0.0, 0.0]]),
-        ]
-        expected = (
-            b"a,b,a_prime,b_prime,lhs\n"
-            b"0.0,0.0,0.0,0.0,0.0\n"
-            b"0.0,0.0,90.0,90.0,-0.0\n"
-            b"0.0,90.0,0.0,0.0,5e-324\n"
-            b"0.0,90.0,90.0,90.0,1e+16\n"
-            b"90.0,0.0,0.0,0.0,-1.5\n"
-            b"90.0,0.0,90.0,90.0,0.30000000000000004\n"
-            b"90.0,90.0,0.0,0.0,-0.0\n"
-            b"90.0,90.0,90.0,90.0,0.0\n"
-        )
-        assert surface_reference([0.0, 90.0], planes) == expected
-        assert self.write(tmp_path, [0.0, 90.0], planes) == expected
-
-    def test_one_by_one_grid(self, tmp_path):
-        expected = b"a,b,a_prime,b_prime,lhs\n45.0,45.0,45.0,45.0,-0.0\n"
-        assert self.write(tmp_path, [45.0], [np.array([[-0.0]])]) == expected
-
-    def test_values_shared_and_unshared_across_planes(self, tmp_path):
-        # more distinct values over the planes than one plane has cells
-        pool = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16,
-                         -1.5, 0.1 + 0.2, 1.0 / 3.0, -1e-300, 1.0, -1.0])
-        rng = np.random.default_rng(8)
-        axes = [0.0, 60.0, 120.0]
-        planes = [rng.choice(pool, size=(3, 3)) for _ in axes]
-        planes[2][0, :2] = [-0.0, 0.0]  # signed zeros side by side
-        assert len({value.tobytes() for plane in planes for value in plane.ravel()}) > 9
-        assert self.write(tmp_path, axes, planes) == surface_reference(axes, planes)
 
 
 class TestErrorContract:

@@ -37,7 +37,7 @@ def test_command_bytes_are_unchanged(tmp_path, number):
     if "@posix" in marks and os.name != "posix":
         pytest.skip("the digest holds a POSIX error text")
     note = (
-        f" (its bytes depend on numpy: here {numpy.__version__}; digests {TAKEN_WITH[2:]})"
+        f" (its bytes depend on numpy: here {numpy.__version__}; digests {TAKEN_WITH.removeprefix('# ')})"
         if "@numpy" in marks else ""
     )
     assert corpus.run(argv, tmp_path) == DIGESTS[number - 1], f"line {number}{note}"

@@ -211,3 +211,76 @@ class TestDenseOracle:
             global_min = min(global_min, float(plane.min()))
         assert global_min >= -1.5 - 1e-9
         assert global_min == pytest.approx(-1.5, abs=1e-6)
+
+
+def surface_reference(axes, planes):
+    """Surface CSV bytes with every number formatted by its own repr call."""
+    rows = [
+        f"{a!r},{b!r},{ap!r},{ap!r},{lhs!r}"
+        for a, plane in zip(axes, planes)
+        for (b, ap), lhs in zip(product(axes, repeat=2), plane.ravel().tolist())
+    ]
+    return ("\n".join(["a,b,a_prime,b_prime,lhs", *rows]) + "\n").encode("utf-8")
+
+
+class TestWriteSurface:
+    """optimizer.write_surface on synthetic planes, against per-value repr."""
+
+    @staticmethod
+    def write(tmp_path, axes, planes):
+        path = tmp_path / "surface.csv"
+        optimizer.write_surface(str(path), axes, iter(planes))
+        return path.read_bytes()
+
+    def test_signed_zeros_and_special_values(self, tmp_path):
+        # 0.0 and -0.0 share a plane (and compare equal); both recur in the
+        # second plane; 5e-324 is the smallest subnormal
+        planes = [
+            np.array([[0.0, -0.0], [5e-324, 1e16]]),
+            np.array([[-1.5, 0.1 + 0.2], [-0.0, 0.0]]),
+        ]
+        expected = (
+            b"a,b,a_prime,b_prime,lhs\n"
+            b"0.0,0.0,0.0,0.0,0.0\n"
+            b"0.0,0.0,90.0,90.0,-0.0\n"
+            b"0.0,90.0,0.0,0.0,5e-324\n"
+            b"0.0,90.0,90.0,90.0,1e+16\n"
+            b"90.0,0.0,0.0,0.0,-1.5\n"
+            b"90.0,0.0,90.0,90.0,0.30000000000000004\n"
+            b"90.0,90.0,0.0,0.0,-0.0\n"
+            b"90.0,90.0,90.0,90.0,0.0\n"
+        )
+        assert surface_reference([0.0, 90.0], planes) == expected
+        assert self.write(tmp_path, [0.0, 90.0], planes) == expected
+
+    def test_one_by_one_grid(self, tmp_path):
+        expected = b"a,b,a_prime,b_prime,lhs\n45.0,45.0,45.0,45.0,-0.0\n"
+        assert self.write(tmp_path, [45.0], [np.array([[-0.0]])]) == expected
+
+    def test_values_shared_and_unshared_across_planes(self, tmp_path):
+        # more distinct values over the planes than one plane has cells
+        pool = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16,
+                         -1.5, 0.1 + 0.2, 1.0 / 3.0, -1e-300, 1.0, -1.0])
+        rng = np.random.default_rng(8)
+        axes = [0.0, 60.0, 120.0]
+        planes = [rng.choice(pool, size=(3, 3)) for _ in axes]
+        planes[2][0, :2] = [-0.0, 0.0]  # signed zeros side by side
+        assert len({value.tobytes() for plane in planes for value in plane.ravel()}) > 9
+        assert self.write(tmp_path, axes, planes) == surface_reference(axes, planes)
+
+    def test_pattern_cache_holds_at_most_two_planes(self, tmp_path, monkeypatch):
+        # each of the three planes has 9 patterns of its own: the cache is
+        # cleared before a plane once it holds more than a plane's 9 cells
+        sizes = []
+        missing = optimizer._ReprByBits.__missing__
+
+        def recording(texts, bits):
+            sizes.append(len(texts))
+            return missing(texts, bits)
+
+        monkeypatch.setattr(optimizer._ReprByBits, "__missing__", recording)
+        axes = [0.0, 60.0, 120.0]
+        planes = list(np.arange(27.0).reshape(3, 3, 3) + 0.5)
+        assert self.write(tmp_path, axes, planes) == surface_reference(axes, planes)
+        assert len(sizes) == 27
+        assert max(sizes) < 2 * 9

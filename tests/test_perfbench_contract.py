@@ -1,7 +1,8 @@
 """The library names the benchmark harness reads must keep working.
 
-Replays the cli-startup workload, plus one scan, and one mc command shaped
-like the mc-scan workload's, through perfbench's traced in-process replay, so
+Replays the cli-startup workload, plus one scan with and one without a
+surface file, and one mc command shaped like the mc-scan workload's, through
+perfbench's traced in-process replay, so
 that removing or renaming what perfbench/workloads.py or perfbench/tracing.py
 calls fails here as well as in the benchmark.
 """
@@ -25,9 +26,21 @@ def _check_scan(stdout: bytes, files: dict[str, bytes]) -> str | None:
     return None if abs(best - (-1.5)) <= workloads.OPTIMUM_TOL else f"best_lhs {best}"
 
 
+def _check_surface_scan(stdout: bytes, files: dict[str, bytes]) -> str | None:
+    data = files["s.csv"]
+    if not data.startswith(workloads.SURFACE_HEADER):
+        return "s.csv lacks the surface header"
+    rows = data.count(b"\n") - 1
+    return _check_scan(stdout, files) if rows == 12**3 else f"s.csv has {rows} rows"
+
+
 def test_traced_replay_of_cli_startup_and_a_scan_has_no_failure(tmp_path):
     commands = workloads.build("cli-startup", 1, tmp_path, workers=1)
     commands.append(workloads.Command(("scan", "--step", "15", "--rounds", "0"), _check_scan))
+    commands.append(workloads.Command(
+        ("scan", "--step", "15", "--rounds", "0", "--surface", "s.csv"),
+        _check_surface_scan, outputs=("s.csv",),
+    ))
     ledger = workloads.Ledger()
     tracer = tracing.Tracer()
     # As in tracing.measure, an untraced pass comes first: it loads the
@@ -38,6 +51,7 @@ def test_traced_replay_of_cli_startup_and_a_scan_has_no_failure(tmp_path):
     assert ledger.attempted == 2 * len(commands)
     assert ledger.failed == 0, ledger.reasons
     assert any(span.name == "optimizer.grid_scan" and span.ok for span in tracer.spans)
+    assert any(span.name == "optimizer.write_surface" and span.ok for span in tracer.spans)
 
 
 def test_traced_replay_of_an_mc_command_matches_the_library(tmp_path):
