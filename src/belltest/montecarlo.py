@@ -45,14 +45,6 @@ layout stays an 8 MiB tuple. Larger counts are rejected before any sampling."""
 PAIR_LABELS: tuple[str, ...] = tuple(PAIRS)
 """The four setting pairs a run measures, in core.PAIRS order."""
 
-# Cell masks in CELL_NAMES order, from each cell's outcomes (x, y): correlation
-# sign, coincidence, like-signed coincidence, side-1 plus and minus single. One
-# 1-D array each: building a 2-D array here raised peak RSS by about 0.1 MB.
-_SIGN, _COINC, _LIKE, _SIDE1_PLUS, _SIDE1_MINUS = (
-    np.array(column, dtype=np.float64)
-    for column in zip(*((x * y, abs(x * y), x * y > 0, x > 0, x < 0) for x, y in CELL_OUTCOMES))
-)
-
 
 class InsufficientStatisticsError(BellTestError):
     """Too few detected events to form the requested estimate."""
@@ -363,15 +355,6 @@ class EstimatedReport(Record):
     sigma_distance: float
 
 
-def _delta_variance(counts: np.ndarray, grad: np.ndarray) -> float:
-    # First-order variance of a smooth statistic of multinomial counts:
-    # grad' Cov grad with Cov_ij = N (p_i delta_ij - p_i p_j).
-    n_total = counts.sum()
-    p = counts / n_total
-    mean_grad = float(p @ grad)
-    return float(n_total * (float(p @ (grad * grad)) - mean_grad * mean_grad))
-
-
 def evaluate_symmetric_detection(
     counters_cross: CoincidenceCounters, counters_primed: CoincidenceCounters
 ) -> EstimatedReport:
@@ -379,12 +362,13 @@ def evaluate_symmetric_detection(
 
     counters_cross holds the shared cross-setting measurement (the three
     equal-difference pairs), counters_primed the primed pair whose
-    coincidences and side-1 singles supply the remaining ratios; totals,
-    singles and the correlation sum the cells picked by core.CELL_OUTCOMES. The
-    standard error propagates through the count ratios to first order,
-    treating each counter set as an independent multinomial. The
-    detected-singles ratio group is identically 2 and contributes no
-    variance.
+    coincidences and side-1 singles supply the remaining ratios. The
+    standard error is first order, each counter set an independent
+    multinomial: with like L = pp + mm and unlike U = pm + mp coincidences
+    out of T = L + U, each ratio is a binomial proportion, so
+    Var = 36 L U / T^3 (cross, 3E/T = 3 - 6U/T) + 4 L U / T^3 (primed,
+    2(D++ + D--)/T = 2 - 2U/T). The detected-singles ratio group is
+    identically 2 and contributes no variance.
 
     The estimate bounds local models only under two assumptions, which
     a local model need not meet: the three merged cross pairs share one
@@ -393,31 +377,28 @@ def evaluate_symmetric_detection(
     of assignments ++00 and +-0- has mixture functional 0 but reads -3
     here.
     """
-    # Counts stay below 2**53, so these float sums are exact.
-    cross = np.asarray(counters_cross.cells(), dtype=np.float64)
-    primed = np.asarray(counters_primed.cells(), dtype=np.float64)
-    c_cross, u = float(_COINC @ cross), float(_SIGN @ cross)
-    c_primed, w = float(_COINC @ primed), float(_LIKE @ primed)
-    if c_cross == 0.0 or c_primed == 0.0:
+    cross, primed = counters_cross, counters_primed
+    like_c, unlike_c = cross.pp + cross.mm, cross.pm + cross.mp
+    like_p, unlike_p = primed.pp + primed.mm, primed.pm + primed.mp
+    total_c, total_p = like_c + unlike_c, like_p + unlike_p
+    if total_c == 0 or total_p == 0:
         raise InsufficientStatisticsError("no coincidences at one of the settings")
     # Side-1 singles include the primed coincidences, so they are > 0 here.
-    s_plus, s_minus = float(_SIDE1_PLUS @ primed), float(_SIDE1_MINUS @ primed)
-
+    s_plus, s_minus = float(primed.pp + primed.pm + primed.pz), float(primed.mp + primed.mm + primed.mz)
     report = detection_inequality_symmetric(
-        e_cross=u,
-        total_cross=c_cross,
-        d_pp_primed=float(counters_primed.pp),
-        d_mm_primed=float(counters_primed.mm),
-        total_primed=c_primed,
+        e_cross=float(like_c - unlike_c),
+        total_cross=float(total_c),
+        d_pp_primed=float(primed.pp),
+        d_mm_primed=float(primed.mm),
+        total_primed=float(total_p),
         d_plus_primed=s_plus,
         d_minus_primed=s_minus,
         singles_total_primed=s_plus + s_minus,
     )
-
-    grad_cross = 3.0 * (_SIGN * c_cross - u * _COINC) / c_cross ** 2
-    grad_primed = -2.0 * (_LIKE * c_primed - w * _COINC) / c_primed ** 2
-    variance = _delta_variance(cross, grad_cross) + _delta_variance(primed, grad_primed)
-    std_error = math.sqrt(max(variance, 0.0))
+    # The variance as one fraction of exact ints: dividing rounds once, so
+    # std_error is within 1 ulp of the exact square root.
+    numerator = 36 * like_c * unlike_c * total_p**3 + 4 * like_p * unlike_p * total_c**3
+    std_error = math.sqrt(numerator / (total_c * total_p) ** 3)
 
     if std_error > 0.0:
         sigma_distance = report.margin / std_error

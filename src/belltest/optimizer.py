@@ -31,6 +31,7 @@ from .inequalities import (  # noqa: F401 - the scan limits are re-exported
     MAX_AXIS_POINTS,
     MAX_REFINE_ROUNDS,
     MAX_STEP_DEG,
+    MAX_SURFACE_AXIS_POINTS,
     MIN_STEP_DEG,
     Form,
     SettingsQuad,
@@ -109,9 +110,16 @@ def write_surface(path: str, axes: Iterable[float], planes: Iterable[np.ndarray]
     Rows follow the planes: a in axis order, then (b, a') row-major, with
     b' = a'. Every number prints as its repr, and each lhs text is made
     once per bit pattern; the patterns are forgotten once they outnumber a
-    plane's cells, so memory stays O(n^2).
+    plane's cells, so memory stays O(n^2). An axis of more than
+    MAX_SURFACE_AXIS_POINTS values raises ValidationError before path is
+    opened.
     """
     labels = [repr(float(value)) for value in axes]
+    if len(labels) > MAX_SURFACE_AXIS_POINTS:
+        raise ValidationError(
+            f"a surface axis holds at most {MAX_SURFACE_AXIS_POINTS} values "
+            f"({MAX_SURFACE_AXIS_POINTS}^3 rows), got {len(labels)}"
+        )
     cells = [f",{b},{ap},{ap}," for b in labels for ap in labels]
     parts = [""] * (3 * len(cells))  # a, ",b,a',a',", lhs per row
     parts[1::3] = cells

@@ -257,6 +257,19 @@ class TestWriteSurface:
         expected = b"a,b,a_prime,b_prime,lhs\n45.0,45.0,45.0,45.0,-0.0\n"
         assert self.write(tmp_path, [45.0], [np.array([[-0.0]])]) == expected
 
+    def test_axis_over_the_surface_budget_writes_nothing(self, tmp_path):
+        # 257 values would be 257^3 rows; the planes are never asked for
+        axis = [float(i) for i in range(optimizer.MAX_SURFACE_AXIS_POINTS + 1)]
+
+        def planes():
+            raise AssertionError("a plane was drawn")
+            yield
+
+        path = tmp_path / "surface.csv"
+        with pytest.raises(ValidationError, match="at most 256 values .* got 257"):
+            optimizer.write_surface(str(path), axis, planes())
+        assert not path.exists()
+
     def test_values_shared_and_unshared_across_planes(self, tmp_path):
         # more distinct values over the planes than one plane has cells
         pool = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16,

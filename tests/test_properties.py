@@ -2,12 +2,14 @@
 for every input, not only at the hand-picked points of the other tests."""
 
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from belltest import core, lhv, optimizer, qm  # noqa: E402
 from belltest.core import CELL_NAMES, PAIRS, SUM_TOL, normalize_degrees  # noqa: E402
@@ -18,7 +20,11 @@ from belltest.inequalities import (  # noqa: E402
     detection_inequality_symmetric,
     quad_from_differences,
 )
-from belltest.montecarlo import CoincidenceCounters, evaluate_symmetric_detection  # noqa: E402
+from belltest.montecarlo import (  # noqa: E402
+    MAX_PAIRS_PER_SETTING,
+    CoincidenceCounters,
+    evaluate_symmetric_detection,
+)
 
 angles = st.floats(min_value=-720.0, max_value=720.0, allow_nan=False)
 geometries = st.builds(
@@ -243,7 +249,9 @@ def test_chsh_plus_one_pins_the_negated_slot():
     assert abs(lhs - _chsh_plus_one(e, negated=2)) > 0.1
 
 
-counts = st.integers(min_value=0, max_value=10**12)
+# Cells of up to three merged setting pairs; 0 is drawn often, so like or
+# unlike coincidences (or both at one setting) are often absent.
+counts = st.one_of(st.just(0), st.integers(min_value=0, max_value=3 * MAX_PAIRS_PER_SETTING))
 counters = st.lists(counts, min_size=9, max_size=9).filter(lambda c: any(c[:4])).map(
     lambda c: CoincidenceCounters(sum(c), **dict(zip(CELL_NAMES, c)))
 )
@@ -254,3 +262,37 @@ counters = st.lists(counts, min_size=9, max_size=9).filter(lambda c: any(c[:4]))
 def test_coincidences_at_both_settings_always_give_a_report(cross, primed):
     estimated = evaluate_symmetric_detection(cross, primed)
     assert estimated.std_error >= 0.0
+
+
+def _coincidences(pp, pm, mp=0, mm=0):
+    return CoincidenceCounters(pp + pm + mp + mm, pp, pm, mp, mm)
+
+
+def _exact_std_error(cross, primed):
+    """Square root of 36 L U / T^3 + 4 L U / T^3 in exact arithmetic, to 50 digits."""
+    variance = Fraction(0)
+    for weight, c in ((36, cross), (4, primed)):
+        like, unlike = c.pp + c.mm, c.pm + c.mp
+        variance += Fraction(weight * like * unlike, (like + unlike) ** 3)
+    with localcontext() as context:
+        context.prec = 50
+        return (Decimal(variance.numerator) / variance.denominator).sqrt()
+
+
+@settings(max_examples=500, deadline=None)
+@given(cross=counters, primed=counters)
+@example(cross=_coincidences(10, 0, 0, 7), primed=_coincidences(0, 4, 9))  # U = 0, then L = 0
+@example(cross=_coincidences(0, 3), primed=_coincidences(5, 0))  # no variance at all
+@example(
+    cross=_coincidences(*(3 * MAX_PAIRS_PER_SETTING,) * 4),
+    primed=_coincidences(3 * MAX_PAIRS_PER_SETTING, 1, 1, 3 * MAX_PAIRS_PER_SETTING - 1),
+)
+# Rounding 36.0 * L * U and T**3 apart puts this case 1.32 ulp off.
+@example(cross=_coincidences(550051, 544823), primed=_coincidences(597690, 988))
+def test_std_error_is_the_exact_first_order_error_within_one_ulp(cross, primed):
+    std_error = evaluate_symmetric_detection(cross, primed).std_error
+    exact = _exact_std_error(cross, primed)
+    if exact == 0:
+        assert std_error == 0.0
+    else:
+        assert abs(Decimal(std_error) - exact) <= Decimal(math.ulp(float(exact)))
