@@ -11,8 +11,7 @@ re-exported name (with its home module), loads on first attribute access
 cli, core, inequalities and qm; ``verify-theorem`` adds lhv; ``mc`` and
 ``scan`` add montecarlo or optimizer, and with them numpy. With
 PYTHONDONTWRITEBYTECODE=1, a fresh ``import belltest`` adds under 3 ms
-to a bare interpreter's start, against 21-25 ms when it loaded core,
-inequalities, lhv and qm (medians of 40 alternating runs on 2 vCPUs).
+to a bare interpreter's start (medians of 40 runs on 2 vCPUs).
 """
 
 __version__ = "0.1.0"

@@ -12,9 +12,7 @@ inside verify-theorem and mc --source lhv, and montecarlo and optimizer,
 which import numpy, inside the mc and scan handlers. So verify-theorem
 and eval start without numpy, and eval, scan and mc at a qm source skip
 lhv's compile from source (2.2 ms, best of 20 on 2 vCPUs,
-PYTHONDONTWRITEBYTECODE=1). A fresh ``import belltest`` adds under 3 ms
-to a bare interpreter's start, against 21-25 ms when it loaded core,
-inequalities, lhv and qm.
+PYTHONDONTWRITEBYTECODE=1).
 """
 
 from __future__ import annotations

@@ -65,31 +65,22 @@ class Record:
     def _by_name(cls, args: tuple[Any, ...], kwargs: dict[str, Any]) -> dict[str, Any]:
         """Field values by name: positional, then keyword, then default values.
 
-        kwargs is the constructor's own dict, so it is filled in place.
+        Binding faults raise TypeError in this order: too many positional
+        arguments, an unknown or repeated keyword, then the missing fields.
         """
-        fields = cls._fields
-        if args:
-            positional = dict(zip(fields, args))
-            if len(args) > len(fields) or not positional.keys().isdisjoint(kwargs):
-                raise TypeError(cls._binding_error(args, kwargs))
-            kwargs.update(positional)
-        values = {**cls._defaults, **kwargs}
-        if values.keys() != set(fields):  # kwargs holds the positional values by now
-            raise TypeError(cls._binding_error((), kwargs))
-        return values
-
-    @classmethod
-    def _binding_error(cls, args: tuple[Any, ...], kwargs: dict[str, Any]) -> str:
-        name, fields = f"{cls.__qualname__}()", cls._fields
+        fields, name = cls._fields, cls.__qualname__
         if len(args) > len(fields):
-            return f"{name} takes {len(fields)} arguments but {len(args)} were given"
+            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
+        free = fields[len(args):]  # the fields a keyword may still name
         for key in kwargs:
-            if key not in fields:
-                return f"{name} got an unexpected keyword argument {key!r}"
-            if key in fields[:len(args)]:
-                return f"{name} got multiple values for argument {key!r}"
-        missing = [f for f in fields if f not in kwargs and f not in cls._defaults]
-        return f"{name} missing required arguments: {', '.join(map(repr, missing))}"
+            if key not in free:
+                problem = "multiple values for" if key in fields else "an unexpected keyword"
+                raise TypeError(f"{name}() got {problem} argument {key!r}")
+        values = {**cls._defaults, **dict(zip(fields, args)), **kwargs}
+        if len(values) < len(fields):  # every key is a field by now
+            missing = ", ".join(repr(f) for f in fields if f not in values)
+            raise TypeError(f"{name}() missing required arguments: {missing}")
+        return values
 
     def __post_init__(self) -> None:
         """Validate or normalize the fields; the default accepts anything."""

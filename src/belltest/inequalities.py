@@ -13,9 +13,9 @@ closed forms at a setting quad.
 
 Both measurable forms are CHSH plus one: E1 + E2 + E3 - E4 + 1, where Ek is
 each pair's normalized coincidence correlation E/T0 and (a', b') takes the
-negated slot. Each side's singles ratios D/t0, with t0 = D+ + D-, sum to 1,
-so the singles arguments can change which error is raised but, up to
-rounding, never the lhs. The symmetric measurable form also rejects
+negated slot. Each side's singles ratios D+/t0 and D-/t0, with t0 = D+ + D-,
+sum to 1, so the singles are checked, then counted as 2: they can select an
+error but never move the lhs. The symmetric measurable form also rejects
 inconsistent inputs: |E| above T0 at the cross pair, D++ + D-- above T0 at
 the primed pair, or a singles total other than D+ + D-.
 """
@@ -121,7 +121,9 @@ def _require_unit_range(
 def _ternary_report(
     name: str, cross: Sequence[float], like_primed: Sequence[float], singles: Sequence[float]
 ) -> InequalityReport:
-    """The ternary forms' term rule: sum(cross) - 2 sum(like_primed) + sum(singles), by one fsum."""
+    """The ternary forms' term rule: sum(cross) - 2 sum(like_primed) + sum(singles), by one fsum.
+
+    The measurable forms pass one like fraction, (D++ + D--)/T0, and singles (2.0,)."""
     lhs = math.fsum((*cross, *(-2.0 * p for p in like_primed), *singles))
     return _report(name, lhs, LOCAL_BOUND, "ge")
 
@@ -257,16 +259,14 @@ def bell_1965(e_ab: float, e_bpa: float, e_apb: float) -> InequalityReport:
     return _report("bell65", lhs, LOCAL_BOUND, "ge")
 
 
-def _ratio(numerator: float, denominator: float, what: str) -> float:
-    if denominator <= 0.0:
+def _require_total(total: float, what: str) -> float:
+    if total <= 0.0:
         raise UndefinedRatioError(f"{what} is zero; ratio undefined")
-    return numerator / denominator
+    return total
 
 
-def _singles_ratios(d_plus: float, d_minus: float, what: str) -> tuple[float, float]:
-    """One primed side's measurable singles terms D+/t0 and D-/t0, t0 = D+ + D-."""
-    total = d_plus + d_minus
-    return _ratio(d_plus, total, what), _ratio(d_minus, total, what)
+def _ratio(numerator: float, denominator: float, what: str) -> float:
+    return numerator / _require_total(denominator, what)
 
 
 def detection_inequality(
@@ -283,23 +283,22 @@ def detection_inequality(
     D/T0 at the primed pair, and singles become D/t0 per primed side.
     Every term is a ratio, so a uniform rescaling of all rates (an
     unknown emission count) drops out. The lhs is E1 + E2 + E3 - E4 + 1
-    with (a',b') negated; the singles ratios sum to 1 and only select errors.
+    with (a',b') negated. Each side's singles ratios sum to 1, so the
+    singles are checked (t0 > 0), then counted as 2.
     """
     cross_terms = [
         _ratio(detection_expectation(r), coincidence_total(r), f"coincidence total ({label})")
         for label, r in (("ab", rates_ab), ("bpa", rates_bpa), ("bap", rates_bap))
     ]
     primed_total = coincidence_total(rates_apbp)
-    singles_terms: list[float] = []
     for side, arg, singles in (("a'", "singles_ap", singles_ap), ("b'", "singles_bp", singles_bp)):
         if len(singles) != 2:
             raise ValidationError(f"{arg} must hold 2 values (D+, D-), got {len(singles)}")
         require_nonnegative((f"{arg}[0]", f"{arg}[1]"), singles)
         d_plus, d_minus = singles
-        singles_terms += _singles_ratios(d_plus, d_minus, f"singles total ({side})")
-    like_primed = (rates_apbp.d_pp, rates_apbp.d_mm)
-    like_terms = [_ratio(d, primed_total, "coincidence total (a'b')") for d in like_primed]
-    return _ternary_report("detection", cross_terms, like_terms, singles_terms)
+        _require_total(d_plus + d_minus, f"singles total ({side})")
+    like = _ratio(rates_apbp.d_pp + rates_apbp.d_mm, primed_total, "coincidence total (a'b')")
+    return _ternary_report("detection", cross_terms, (like,), (2.0,))
 
 
 def detection_inequality_symmetric(
@@ -312,14 +311,15 @@ def detection_inequality_symmetric(
     d_minus_primed: float,
     singles_total_primed: float,
 ) -> InequalityReport:
-    """Symmetric measurable form: 3 E/T0 - 2 D++/T0 - 2 D--/T0 + 2 D+/t0 + 2 D-/t0.
+    """Symmetric measurable form: 3 E/T0 - 2 (D++ + D--)/T0 + 2 D+/t0 + 2 D-/t0.
 
-    With t0 = D+ + D- the singles ratios sum to 1, so they only select
-    errors, and the lhs is 3 E/T0 (cross) - E/T0 (primed) + 1. Only
-    e_cross may be negative; every argument must be finite. The inputs
-    must be consistent within a relative slack of VIOLATION_EPS (of the
-    total named): |e_cross| <= total_cross, d_pp_primed + d_mm_primed <=
-    total_primed, and singles_total_primed = d_plus_primed + d_minus_primed.
+    With t0 = D+ + D- the singles ratios sum to 1, so the singles are
+    checked (t0 > 0), then counted as 2, and the lhs is 3 E/T0 (cross) -
+    E/T0 (primed) + 1. Only e_cross may be negative; every argument must
+    be finite; counts may be ints. The inputs must be consistent within a
+    relative slack of VIOLATION_EPS (of the total named): |e_cross| <=
+    total_cross, d_pp_primed + d_mm_primed <= total_primed, and
+    singles_total_primed = d_plus_primed + d_minus_primed.
     """
     if not math.isfinite(e_cross):
         raise ValidationError(f"e_cross must be finite, got {e_cross!r}")
@@ -338,12 +338,10 @@ def detection_inequality_symmetric(
     ):
         if excess > VIOLATION_EPS * total:
             raise ValidationError(f"inputs break {rule} by {excess!r}")
-    return _ternary_report(
-        "detection-sym",
-        (3.0 * _ratio(e_cross, total_cross, "cross coincidence total"),),
-        [_ratio(d, total_primed, "primed coincidence total") for d in (d_pp_primed, d_mm_primed)],
-        [2.0 * r for r in _singles_ratios(d_plus_primed, d_minus_primed, "primed singles total")],
-    )
+    cross = 3.0 * _ratio(e_cross, total_cross, "cross coincidence total")
+    like = _ratio(d_pp_primed + d_mm_primed, total_primed, "primed coincidence total")
+    _require_total(d_plus_primed + d_minus_primed, "primed singles total")
+    return _ternary_report("detection-sym", (cross,), (like,), (2.0,))
 
 
 def chsh(e_ab: float, e_bpa: float, e_bap: float, e_apbp: float) -> InequalityReport:

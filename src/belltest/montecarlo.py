@@ -296,7 +296,7 @@ def sample_pair_events(dist: PairProbabilities, n: int, seed: int) -> Coincidenc
     total = np.zeros(len(CELL_NAMES), dtype=np.int64)
     for counts in _draw_chunks(_cell_probabilities(dist), seed, 0, chunk_counts(n)):
         total += counts
-    return CoincidenceCounters(n, *(int(c) for c in total))
+    return CoincidenceCounters(n, *total.tolist())
 
 
 class LhvSource(Record):
@@ -384,13 +384,14 @@ def evaluate_symmetric_detection(
     if total_c == 0 or total_p == 0:
         raise InsufficientStatisticsError("no coincidences at one of the settings")
     # Side-1 singles include the primed coincidences, so they are > 0 here.
-    s_plus, s_minus = float(primed.pp + primed.pm + primed.pz), float(primed.mp + primed.mm + primed.mz)
+    # Cells are below 2**53, so the evaluator's int / int ratios round as floats would.
+    s_plus, s_minus = primed.pp + primed.pm + primed.pz, primed.mp + primed.mm + primed.mz
     report = detection_inequality_symmetric(
-        e_cross=float(like_c - unlike_c),
-        total_cross=float(total_c),
-        d_pp_primed=float(primed.pp),
-        d_mm_primed=float(primed.mm),
-        total_primed=float(total_p),
+        e_cross=like_c - unlike_c,
+        total_cross=total_c,
+        d_pp_primed=primed.pp,
+        d_mm_primed=primed.mm,
+        total_primed=total_p,
         d_plus_primed=s_plus,
         d_minus_primed=s_minus,
         singles_total_primed=s_plus + s_minus,
@@ -422,7 +423,7 @@ def bootstrap_std_error(
     values = []
     for _ in range(resamples):
         draw_cross, draw_primed = (  # cross is drawn first
-            CoincidenceCounters(c.n_emitted, *(int(k) for k in rng.multinomial(c.n_emitted, p)))
+            CoincidenceCounters(c.n_emitted, *rng.multinomial(c.n_emitted, p).tolist())
             for c, p in ((counters_cross, p_cross), (counters_primed, p_primed))
         )
         try:

@@ -249,6 +249,35 @@ def test_chsh_plus_one_pins_the_negated_slot():
     assert abs(lhs - _chsh_plus_one(e, negated=2)) > 0.1
 
 
+singles_values = st.floats(min_value=0.0, max_value=1e300)
+singles_pairs = st.tuples(singles_values, singles_values).filter(lambda s: s[0] + s[1] > 0.0)
+_RATES = core.DetectionRates(0.1, 0.02, 0.03, 0.09, 0.2, 0.2, 0.2, 0.2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rates=st.tuples(*[detection_records()] * 4), ap=singles_pairs, bp=singles_pairs)
+@example(rates=(_RATES,) * 4, ap=(3.0, 7.0), bp=(0.1, 0.2))
+def test_detection_lhs_reads_no_singles(rates, ap, bp):
+    # Each side's D+/t0 + D-/t0 is 1, so the singles are checked, then counted
+    # as 2: any valid singles give the lhs of singles (1, 1) bit for bit.
+    cross, primed = rates[0], rates[3]
+
+    def lhs(singles_ap, singles_bp):
+        general = detection_inequality(*rates, singles_ap=singles_ap, singles_bp=singles_bp)
+        symmetric = detection_inequality_symmetric(
+            core.detection_expectation(cross),
+            core.coincidence_total(cross),
+            primed.d_pp,
+            primed.d_mm,
+            core.coincidence_total(primed),
+            *singles_ap,
+            math.fsum(singles_ap),
+        )
+        return general.lhs, symmetric.lhs
+
+    assert lhs(ap, bp) == lhs((1.0, 1.0), (1.0, 1.0))
+
+
 # Cells of up to three merged setting pairs; 0 is drawn often, so like or
 # unlike coincidences (or both at one setting) are often absent.
 counts = st.one_of(st.just(0), st.integers(min_value=0, max_value=3 * MAX_PAIRS_PER_SETTING))
@@ -296,3 +325,15 @@ def test_std_error_is_the_exact_first_order_error_within_one_ulp(cross, primed):
         assert std_error == 0.0
     else:
         assert abs(Decimal(std_error) - exact) <= Decimal(math.ulp(float(exact)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(cross=counters, primed=counters)
+@example(cross=_coincidences(0, 0, 0, 1), primed=_coincidences(2, 0, 1))
+def test_mc_lhs_is_one_fsum_of_the_count_ratios(cross, primed):
+    # The cross fraction, the primed like fraction and the singles' constant 2.
+    like_c, unlike_c = cross.pp + cross.mm, cross.pm + cross.mp
+    like_p, unlike_p = primed.pp + primed.mm, primed.pm + primed.mp
+    total_c, total_p = like_c + unlike_c, like_p + unlike_p
+    expected = math.fsum((3.0 * ((like_c - unlike_c) / total_c), -2.0 * (like_p / total_p), 2.0))
+    assert evaluate_symmetric_detection(cross, primed).report.lhs == expected
