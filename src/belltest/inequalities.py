@@ -50,11 +50,14 @@ LOCAL_BOUND = -1.0
 CHSH_BOUND = 2.0
 
 # Angle-scan limits, used by optimizer.grid_scan and the scan command. They
-# live in this numpy-free module so the command-line parser can read them
-# without importing optimizer (and numpy).
+# live in this module so the command-line parser can read them without
+# importing optimizer.
 
 MAX_AXIS_POINTS = 2048
-"""Budget on grid values per axis: one n x n float64 plane stays under 32 MiB."""
+"""Budget on grid values per axis. A scan's coarse phase scores a few rows
+of n values in O(n) memory (3 ms at n = 2048, in process on 2 vCPUs), and
+lhs_planes, which a surface or a library caller runs, keeps each of its
+n x n float64 planes under 32 MiB."""
 
 MIN_STEP_DEG = 180.0 / MAX_AXIS_POINTS
 """Smallest grid step whose axis fits MAX_AXIS_POINTS."""
@@ -449,7 +452,8 @@ class Form(Record):
     require_symmetric). An angle scan optimizes the forms with a plane:
     with b' = a' their primed-pair and singles terms are constants, and
     plane(source) gives (scale, offset) with lhs = scale * (cos 2(a-b)
-    + cos 2(a'-a) + cos 2(b-a')) + offset. evaluate checks no condition.
+    + cos 2(a'-a) + cos 2(b-a')) + offset and scale >= 0, which the scan's
+    row bound needs. evaluate checks no condition.
     """
 
     source: type[qm.IdealSource] | type[qm.RealSource]

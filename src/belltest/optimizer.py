@@ -6,26 +6,29 @@ coplanar polarizer axes. The scan optimizes within that slice, whose
 optimum is -1.5. Free quads go further, to 1 - 2 sqrt(2) for the
 ternary form at axes (0, 67.5, 135, 112.5), in line with Tsirelson's
 bound for CHSH. Every scanned form depends on the axes only through
-their differences, so the scan holds a = 0 and searches (b, a'): the
-coarse phase sweeps the a = 0 plane of the grid (n^2 points, not n^3)
-with each form's plane formula, and a derivative-free coordinate
-refinement then halves the step around the incumbent in (b, a'),
-re-scoring candidates with the exact scalar evaluator so both
-computation paths stay honest. lhs_planes streams the full n^3 surface
-one a-plane at a time in O(n^2) memory, and write_surface writes it as
-the CSV of scan --surface as the planes arrive.
+their differences, so the scan holds a = 0 and searches (b, a'). The
+coarse phase finds the first minimum of the a = 0 plane of the grid
+(n^2 points, not n^3) from each form's plane formula, but scores only
+the rows (values of b) whose exact lower bound can still beat the
+incumbent, in plain Python: 1 to 4 of the n rows over 1,500 random
+steps and fringe factors. A derivative-free coordinate refinement then
+halves the step around the incumbent in (b, a'), re-scoring candidates
+with the exact scalar evaluator so both computation paths stay honest.
+Only the surface needs numpy: lhs_planes streams the full n^3 grid one
+a-plane at a time in O(n^2) memory, and write_surface writes it as the
+CSV of scan --surface as the planes arrive; numpy is imported when
+lhs_planes is called.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from itertools import product
-from typing import Iterable, Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from . import qm
-from .core import Record, ValidationError, require_in_range
+from .core import Record, ValidationError, cos_double_angle, require_in_range
 from .inequalities import (  # noqa: F401 - the scan limits are re-exported
     INEQUALITIES,
     MAX_AXIS_POINTS,
@@ -37,6 +40,9 @@ from .inequalities import (  # noqa: F401 - the scan limits are re-exported
     SettingsQuad,
     form_for,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class ScanResult(Record):
@@ -82,6 +88,8 @@ def lhs_planes(
     built before the first plane is asked for, and only one plane is
     alive at a time, so memory stays O(n^2).
     """
+    import numpy as np
+
     scale, offset = _scan_form(inequality, source).plane(source)
     require_in_range("step_deg", step_deg, MIN_STEP_DEG, MAX_STEP_DEG)
     axes = np.arange(0.0, 180.0, float(step_deg))
@@ -130,8 +138,52 @@ def write_surface(path: str, axes: Iterable[float], planes: Iterable[np.ndarray]
             if len(texts) > len(cells):
                 texts.clear()
             parts[0::3] = [a] * len(cells)
-            parts[2::3] = map(texts.__getitem__, plane.ravel().view(np.int64).tolist())
+            parts[2::3] = map(texts.__getitem__, plane.ravel().view("int64").tolist())
             handle.write("".join(parts))
+
+
+def _coarse_optimum(scale: float, offset: float, step_deg: float) -> tuple[float, float]:
+    """(b, a') of the first minimum of the a = 0 plane of the scan grid.
+
+    The plane is the one lhs_planes yields first: axis x = [0, 180) at
+    step_deg (the values of np.arange(0.0, 180.0, step_deg)) and, at row j
+    (b = x_j) and column k (a' = b' = x_k), the lhs
+    scale * (cos 2x_j + cos 2x_k + cos 2(x_j - x_k)) + offset, summed in
+    that order. Ties go to the first cell in row-major order, as with
+    np.argmin. scale must be >= 0, as every Form.plane's is.
+
+    A row is scored only if it can hold the minimum. Since
+    cos 2x_k + cos 2(x_k - x_j) = 2 cos x_j cos(2x_k - x_j) >= -2|cos x_j|,
+    every value in row j is at least
+    bound_j = scale * (cos 2x_j - 2|cos x_j| - 1e-9) + offset.
+    The slack covers the rounding of the cosines and sums; it sits inside
+    the product so that rounding, being monotone, keeps bound_j a bound
+    even when scale is 0 or subnormal. The row with the smallest bound is
+    scored first; then row j is scored only while (bound_j, j) is below
+    the incumbent's (value, row).
+    """
+    axis = [i * step_deg for i in range(math.ceil(180.0 / step_deg))]
+    row0 = [cos_double_angle(-x) for x in axis]  # cos 2(a - x) at a = 0
+
+    def score(j: int) -> tuple[float, int, int]:
+        x, first = axis[j], row0[j]
+        row = [
+            scale * (first + cell + cos_double_angle(x - xk)) + offset
+            for xk, cell in zip(axis, row0)
+        ]
+        value = min(row)
+        return value, j, row.index(value)
+
+    bounds = [
+        scale * (cell - 2.0 * abs(math.cos(math.radians(x))) - 1e-9) + offset
+        for x, cell in zip(axis, row0)
+    ]
+    start = min(range(len(axis)), key=bounds.__getitem__)
+    best = score(start)
+    for j, bound in enumerate(bounds):
+        if j != start and (bound, j) < best[:2]:
+            best = min(best, score(j))
+    return axis[best[1]], axis[best[2]]
 
 
 def grid_scan(
@@ -143,21 +195,24 @@ def grid_scan(
     """Minimize the inequality lhs over feasible quads.
 
     Rotating all axes together leaves every form unchanged, so the scan
-    holds a = 0 and searches (b, a') with b' = a'. The coarse phase scores
-    the a = 0 plane of the grid over [0, 180) at step_deg; when
-    180 / step_deg is an integer that plane holds the optimum of the whole
-    (a, b, a') grid. refine_rounds rounds of coordinate refinement follow,
-    each halving the step and re-scoring a local 5x5 neighborhood in
-    (b, a') with the scalar objective; refine_rounds is at most
+    holds a = 0 and searches (b, a') with b' = a'. The coarse phase finds
+    the first minimum of the a = 0 plane of lhs_planes' grid over
+    [0, 180) at step_deg, scoring only the few rows of that plane that a
+    lower bound cannot rule out (see _coarse_optimum), without numpy;
+    when 180 / step_deg is an integer that plane holds the optimum of the
+    whole (a, b, a') grid. refine_rounds rounds of coordinate refinement
+    follow, each halving the step and re-scoring a local 5x5 neighborhood
+    in (b, a') with the scalar objective; refine_rounds is at most
     MAX_REFINE_ROUNDS. Ties break toward the smallest normalized (b, a').
     """
-    axes, planes = lhs_planes(inequality, source, step_deg)
+    form = _scan_form(inequality, source)
+    require_in_range("step_deg", step_deg, MIN_STEP_DEG, MAX_STEP_DEG)
     require_in_range("refine_rounds", refine_rounds, 0, MAX_REFINE_ROUNDS)
-    j, k = divmod(int(np.argmin(next(planes))), axes.size)  # argmin keeps the first minimum
+    b, ap = _coarse_optimum(*form.plane(source), float(step_deg))
 
     # From here on everything goes through the scalar evaluator so that
     # the reported optimum is consistent with objective().
-    best_quad = SettingsQuad.of(0.0, float(axes[j]), float(axes[k]), float(axes[k]))
+    best_quad = SettingsQuad.of(0.0, b, ap, ap)
     best_key = (objective(best_quad, inequality, source), best_quad.b, best_quad.a_prime)
 
     span = float(step_deg)
@@ -172,7 +227,7 @@ def grid_scan(
             if key < best_key:
                 best_quad, best_key = quad, key
 
-    report = _scan_form(inequality, source).evaluate(best_quad, source)
+    report = form.evaluate(best_quad, source)
     return ScanResult(
         best_quad=best_quad,
         best_lhs=report.lhs,

@@ -6,7 +6,8 @@ files, `model.lhv` (valid) and `bad.lhv` (a negative weight). A line may start
 with marks:
 
 - `@numpy`: its bytes come from numpy (mc's PCG64 stream and multinomial
-  draws, the scan grid's cosines), so another numpy may move them;
+  draws, the cosines of a scan's --surface), so another numpy may move
+  them; a scan without --surface finds its optimum without numpy;
 - `@posix`: its bytes hold an OS error text that differs off POSIX.
 
 Line N of digests.txt, after its one comment line naming the numpy and Python

@@ -2,8 +2,10 @@
 prints, writes and exits exactly as when its digest was taken.
 
 The digests were taken from the code before the scan surface writer moved
-into optimizer. tests/corpus/update.py rewrites them; a change that runs it
-lists every line whose digest moved.
+into optimizer; those of lines 105-114, scans without --surface, from the
+code before the scan's coarse phase stopped building its plane with numpy.
+tests/corpus/update.py rewrites them; a change that runs it lists every
+line whose digest moved.
 """
 
 import importlib.util

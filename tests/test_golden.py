@@ -37,7 +37,7 @@ def sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-@pytest.mark.parametrize("ineq,source,angles,fmt,digest", [
+EVAL_PINS = [
     ("ternary", [], FREE, "json",
      "a77d8e7eaa3ac4e857ff239f27309cd5f0d7e811de29e7103264d4e269f3f3c5"),
     ("ternary", [], FREE, "csv",
@@ -62,9 +62,20 @@ def sha256(text: str) -> str:
      "57a6398cd0646112d1552ba61999291bdf71a1effd150bb250d684b455d83e79"),
     ("detection-sym", REAL, SYMMETRIC, "csv",
      "21d295ff81332345f300ce8691cace9d38c36405ce09fc0a2edbe93d0fdcb011"),
-])
+]
+
+
+def eval_argv(ineq, source, angles, fmt):
+    return ["eval", "--ineq", ineq, *source, angles, "--format", fmt]
+
+
+# Each case is named by its command, not its digest, so a retaken pin keeps its test id.
+@pytest.mark.parametrize(
+    "ineq,source,angles,fmt,digest", EVAL_PINS,
+    ids=[" ".join(eval_argv(*pin[:4])) for pin in EVAL_PINS],
+)
 def test_eval_stdout_is_pinned(capsys, ineq, source, angles, fmt, digest):
-    assert main(["eval", "--ineq", ineq, *source, angles, "--format", fmt]) == 0
+    assert main(eval_argv(ineq, source, angles, fmt)) == 0
     assert sha256(capsys.readouterr().out) == digest
 
 
@@ -114,7 +125,7 @@ def test_mc_manifest_is_pinned(capsys, tmp_path):
 MC = ["--pairs", "200000", "--seed", "5"]
 
 
-@pytest.mark.parametrize("argv,fmt,digest", [
+MC_PINS = [
     (["--source", "qm-real", "--eta", "0.37", "--phi", "41.3", SYMMETRIC, *MC], "json",
      "94c559db0b158ee0e7c48b93c274e778550bc801622d97078e6fa4e559b63a1f"),
     (["--source", "qm-real", "--eta", "0.37", "--phi", "41.3", SYMMETRIC, *MC], "csv",
@@ -136,7 +147,13 @@ MC = ["--pairs", "200000", "--seed", "5"]
     # The default quad, three chunks per setting pair.
     (["--source", "qm-ideal", "--pairs", "3000000", "--seed", "7"], "json",
      "7f4deff70f53b46b480c7a2ab75587cecfff29213ecb4c231491d6b279ffbd8d"),
-])
+]
+
+
+@pytest.mark.parametrize(
+    "argv,fmt,digest", MC_PINS,
+    ids=[" ".join(["mc", *argv, "--format", fmt]) for argv, fmt, _ in MC_PINS],
+)
 def test_mc_stdout_is_pinned(capsys, tmp_path, monkeypatch, argv, fmt, digest):
     # The JSON echoes the --model path, so the model is read by relative name.
     monkeypatch.chdir(tmp_path)

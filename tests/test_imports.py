@@ -5,7 +5,8 @@ PYTHONDONTWRITEBYTECODE=1 a fresh import adds under 3 ms to a bare
 interpreter's start, against 21-25 ms when it also loaded core,
 inequalities, lhv and qm (medians of 40 alternating runs on 2 vCPUs).
 `eval` loads cli, core, inequalities and qm; `verify-theorem`
-and `mc --source lhv` add lhv; `mc` and `scan` add numpy. The loaded
+and `mc --source lhv` add lhv; `mc` adds numpy, and `scan` adds it only
+to write `--surface`. The loaded
 modules are read from `sys.modules` in the child, since `-X importtime`
 omits a submodule that `from . import x` binds.
 """
@@ -30,6 +31,12 @@ LIGHT_COMMANDS = [
     ["eval", "--ineq", "chsh"],
     ["eval", "--ineq", "detection", "--source", "qm-real"],
     ["eval", "--ineq", "detection-sym", "--source", "qm-real"],
+]
+
+# A scan finds its optimum without numpy; only writing --surface needs it.
+NUMPY_FREE_SCANS = [
+    ["scan", "--step", "0.25"],
+    ["scan", "--step", "0.087890625"],
 ]
 
 
@@ -71,7 +78,7 @@ def _imported_modules(importtime_stderr):
     }
 
 
-@pytest.mark.parametrize("argv", LIGHT_COMMANDS, ids=" ".join)
+@pytest.mark.parametrize("argv", [*LIGHT_COMMANDS, *NUMPY_FREE_SCANS], ids=" ".join)
 def test_light_command_imports_no_numpy(argv):
     result = _python("-X", "importtime", "-m", "belltest", *argv)
     assert result.returncode == 0, result.stderr
@@ -90,6 +97,13 @@ def test_light_command_imports_no_dataclasses_or_inspect(argv):
 
 def test_mc_still_imports_numpy():
     argv = ["mc", "--pairs", "1000", "--source", "qm-ideal"]
+    result = _python("-X", "importtime", "-m", "belltest", *argv)
+    assert result.returncode == 0, result.stderr
+    assert "numpy" in _imported_modules(result.stderr)
+
+
+def test_scan_surface_imports_numpy(tmp_path):
+    argv = ["scan", "--step", "15", "--rounds", "0", "--surface", str(tmp_path / "s.csv")]
     result = _python("-X", "importtime", "-m", "belltest", *argv)
     assert result.returncode == 0, result.stderr
     assert "numpy" in _imported_modules(result.stderr)

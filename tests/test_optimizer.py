@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from belltest import optimizer, qm
-from belltest.core import ValidationError
+from belltest.core import ValidationError, cos_double_angle
 from belltest.inequalities import FORMS, SettingsQuad, quad_from_differences
 from belltest.optimizer import grid_scan, objective
 
@@ -297,3 +297,18 @@ class TestWriteSurface:
         assert self.write(tmp_path, axes, planes) == surface_reference(axes, planes)
         assert len(sizes) == 27
         assert max(sizes) < 2 * 9
+
+
+class TestCoarseOptimum:
+    # Plane (F, 1 - F) of the detection form; F = 1 is the ternary form's (1, 0).
+    @pytest.mark.parametrize("f", [0.0, 5e-324, 1e-17, 0.8, 1.0])
+    def test_scores_a_few_rows_at_the_finest_step(self, monkeypatch, f):
+        calls = []
+
+        def counting(diff_deg):
+            calls.append(diff_deg)
+            return cos_double_angle(diff_deg)
+
+        monkeypatch.setattr(optimizer, "cos_double_angle", counting)
+        optimizer._coarse_optimum(f, 1.0 - f, optimizer.MIN_STEP_DEG)
+        assert len(calls) <= 16 * optimizer.MAX_AXIS_POINTS

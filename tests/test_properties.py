@@ -337,3 +337,48 @@ def test_mc_lhs_is_one_fsum_of_the_count_ratios(cross, primed):
     total_c, total_p = like_c + unlike_c, like_p + unlike_p
     expected = math.fsum((3.0 * ((like_c - unlike_c) / total_c), -2.0 * (like_p / total_p), 2.0))
     assert evaluate_symmetric_detection(cross, primed).report.lhs == expected
+
+
+def _numpy_plane_argmin(scale, offset, step):
+    """(b, a') at numpy's first argmin of the a = 0 plane, built as lhs_planes builds it."""
+    axes = np.arange(0.0, 180.0, step)
+    fringes = np.cos(np.radians(2.0 * (axes[:, None] - axes[None, :])))
+    row = fringes[0]
+    plane = scale * (row[:, None] + row[None, :] + fringes) + offset
+    j, k = divmod(int(np.argmin(plane)), axes.size)
+    return float(axes[j]), float(axes[k])
+
+
+SCAN_F = st.one_of(
+    st.sampled_from((0.0, 5e-324, 1e-300, 1e-17, 1.0 / math.sqrt(2.0), 0.8, 1.0)),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    step=st.floats(min_value=optimizer.MIN_STEP_DEG, max_value=optimizer.MAX_STEP_DEG),
+    f=SCAN_F,
+)
+@example(step=optimizer.MIN_STEP_DEG, f=0.0)
+@example(step=optimizer.MIN_STEP_DEG, f=5e-324)
+@example(step=optimizer.MIN_STEP_DEG, f=1.0)
+@example(step=0.25, f=1.0 / math.sqrt(2.0))
+@example(step=0.7, f=0.8)
+def test_coarse_optimum_is_numpys_first_argmin_of_the_plane(step, f):
+    # f is the detection form's fringe factor F: its plane is (F, 1 - F), and
+    # F = 1 gives the ternary form's (1, 0) scale.
+    source = qm.RealSource(qm.CascadeGeometry(eta=0.2, phi_deg=30.0, f_override=f))
+    scale, offset = FORMS["detection"].plane(source)
+    expected = _numpy_plane_argmin(scale, offset, step)
+    assert optimizer._coarse_optimum(scale, offset, step) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(geom=geometries)
+def test_scan_planes_never_scale_below_zero(geom):
+    # _coarse_optimum's row bound holds only for scale >= 0.
+    for name in optimizer.INEQUALITIES:
+        form = FORMS[name]
+        source = qm.IdealSource() if form.source is qm.IdealSource else qm.RealSource(geom)
+        assert form.plane(source)[0] >= 0.0
