@@ -9,10 +9,10 @@ Importing the package loads only this file. Each submodule, and each
 re-exported name (with its home module), loads on first attribute access
 (PEP 562), so a command compiles only the layers it runs: ``eval`` loads
 cli, core, inequalities and qm; ``verify-theorem`` adds lhv; ``mc`` adds
-montecarlo and numpy; ``scan`` adds optimizer, and numpy only to write
-``--surface``. With
-PYTHONDONTWRITEBYTECODE=1, a fresh ``import belltest`` adds under 3 ms
-to a bare interpreter's start (medians of 40 runs on 2 vCPUs).
+montecarlo and numpy, which only it and lhv.random_model load; ``scan``
+adds optimizer. With PYTHONDONTWRITEBYTECODE=1, a fresh ``import
+belltest`` adds under 3 ms to a bare interpreter's start (medians of 40
+runs on 2 vCPUs).
 """
 
 __version__ = "0.1.0"

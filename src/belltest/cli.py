@@ -9,10 +9,9 @@ falls back to the BELLTEST_SEED environment variable, then to 0.
 Each command loads only the layers it runs: this module loads core,
 inequalities and qm, all that eval needs, and never numpy; lhv loads
 inside verify-theorem and mc --source lhv, montecarlo (which imports
-numpy) inside the mc handler, and optimizer inside the scan handler,
-which loads numpy only to write --surface. So verify-theorem, eval and
-a scan without --surface run without numpy, and eval, scan and mc at a
-qm source skip lhv's compile from source (2.2 ms, best of 20 on 2 vCPUs,
+numpy) inside the mc handler, and optimizer inside the scan handler. So
+only mc loads numpy, and eval, scan and mc at a qm source skip lhv's
+compile from source (2.2 ms, best of 20 on 2 vCPUs,
 PYTHONDONTWRITEBYTECODE=1).
 """
 

@@ -54,10 +54,8 @@ CHSH_BOUND = 2.0
 # importing optimizer.
 
 MAX_AXIS_POINTS = 2048
-"""Budget on grid values per axis. A scan's coarse phase scores a few rows
-of n values in O(n) memory (3 ms at n = 2048, in process on 2 vCPUs), and
-lhs_planes, which a surface or a library caller runs, keeps each of its
-n x n float64 planes under 32 MiB."""
+"""Budget on grid values per axis of a scan's coarse phase, which scores a
+few rows of n values in O(n) memory (3 ms at n = 2048, in process on 2 vCPUs)."""
 
 MIN_STEP_DEG = 180.0 / MAX_AXIS_POINTS
 """Smallest grid step whose axis fits MAX_AXIS_POINTS."""

@@ -10,22 +10,21 @@ their differences, so the scan holds a = 0 and searches (b, a'). The
 coarse phase finds the first minimum of the a = 0 plane of the grid
 (n^2 points, not n^3) from each form's plane formula, but scores only
 the rows (values of b) whose exact lower bound can still beat the
-incumbent, in plain Python: 1 to 4 of the n rows over 1,500 random
-steps and fringe factors. A derivative-free coordinate refinement then
-halves the step around the incumbent in (b, a'), re-scoring candidates
-with the exact scalar evaluator so both computation paths stay honest.
-Only the surface needs numpy: lhs_planes streams the full n^3 grid one
-a-plane at a time in O(n^2) memory, and write_surface writes it as the
-CSV of scan --surface as the planes arrive; numpy is imported when
-lhs_planes is called.
+incumbent: 1 to 4 of the n rows over 1,500 random steps and fringe
+factors. A derivative-free coordinate refinement then halves the step
+around the incumbent in (b, a'), re-scoring candidates with the exact
+scalar evaluator so both computation paths stay honest. lhs_planes
+streams the full n^3 grid, one a-plane at a time, from the same axis and
+cells, and write_surface writes it as the CSV of scan --surface.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+from array import array
 from itertools import product
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from . import qm
 from .core import Record, ValidationError, cos_double_angle, require_in_range
@@ -36,13 +35,11 @@ from .inequalities import (  # noqa: F401 - the scan limits are re-exported
     MAX_STEP_DEG,
     MAX_SURFACE_AXIS_POINTS,
     MIN_STEP_DEG,
+    MIN_SURFACE_STEP_DEG,
     Form,
     SettingsQuad,
     form_for,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class ScanResult(Record):
@@ -75,33 +72,45 @@ def objective(
     return _scan_form(inequality, source).evaluate(quad, source).lhs
 
 
+def _axis(step_deg: float) -> list[float]:
+    return [i * step_deg for i in range(math.ceil(180.0 / step_deg))]
+
+
+def _fringes(x: float, axis: list[float]) -> list[float]:
+    return [cos_double_angle(x - y) for y in axis]
+
+
+def _plane_row(scale: float, offset: float, first: float, a_row: list[float],
+               row: list[float]) -> list[float]:
+    """Row x_j of plane a: scale * (cos 2(a - x_j) + cos 2(a - x_k) + cos 2(x_j - x_k)) + offset."""
+    return [scale * (first + cell + fringe) + offset for cell, fringe in zip(a_row, row)]
+
+
 def lhs_planes(
     inequality: str,
     source: qm.IdealSource | qm.RealSource,
     step_deg: float,
-) -> tuple[np.ndarray, Iterator[np.ndarray]]:
+) -> tuple[list[float], Iterator[array]]:
     """Grid axis values and the lhs over the full (a, b, a') grid.
 
-    The axis holds [0, 180) at step_deg; the planes, computed from the
-    form's plane (see inequalities.Form), are yielded lazily, one per a
-    value in axis order, each indexed (b, a') with b' = a'. No grid is
-    built before the first plane is asked for, and only one plane is
-    alive at a time, so memory stays O(n^2).
+    The axis holds [0, 180) at step_deg, at least MIN_SURFACE_STEP_DEG.
+    The planes, one per a value in axis order, are row-major array('d')s
+    over (b, a') with b' = a', each built when it is asked for, so memory
+    stays O(n^2).
     """
-    import numpy as np
-
     scale, offset = _scan_form(inequality, source).plane(source)
-    require_in_range("step_deg", step_deg, MIN_STEP_DEG, MAX_STEP_DEG)
-    axes = np.arange(0.0, 180.0, float(step_deg))
+    require_in_range("step_deg", step_deg, MIN_SURFACE_STEP_DEG, MAX_STEP_DEG)
+    axis = _axis(float(step_deg))
 
-    def planes() -> Iterator[np.ndarray]:
-        # fringes[i, j] = cos 2(axes_i - axes_j); at a = axes[i] the three
-        # cross pairs (a,b), (b',a) with b' = a', and (b,a') give the sum below
-        fringes = np.cos(np.radians(2.0 * (axes[:, None] - axes[None, :])))
-        for row in fringes:
-            yield scale * (row[:, None] + row[None, :] + fringes) + offset
+    def planes() -> Iterator[array]:
+        fringes = [_fringes(x, axis) for x in axis]
+        for a_row in fringes:
+            plane = array("d")
+            for first, row in zip(a_row, fringes):
+                plane.fromlist(_plane_row(scale, offset, first, a_row, row))
+            yield plane
 
-    return axes, planes()
+    return axis, planes()
 
 
 class _ReprByBits(dict):
@@ -112,15 +121,15 @@ class _ReprByBits(dict):
         return text
 
 
-def write_surface(path: str, axes: Iterable[float], planes: Iterable[np.ndarray]) -> None:
+def write_surface(path: str, axes: Iterable[float], planes: Iterable[array]) -> None:
     """Write lhs_planes' grid to path as CSV rows a,b,a_prime,b_prime,lhs.
 
-    Rows follow the planes: a in axis order, then (b, a') row-major, with
-    b' = a'. Every number prints as its repr, and each lhs text is made
-    once per bit pattern; the patterns are forgotten once they outnumber a
-    plane's cells, so memory stays O(n^2). An axis of more than
-    MAX_SURFACE_AXIS_POINTS values raises ValidationError before path is
-    opened.
+    Rows follow the planes (C-contiguous float64 buffers): a in axis order,
+    then (b, a') row-major, with b' = a'. Every number prints as its repr,
+    and each lhs text is made once per bit pattern; the patterns are
+    forgotten once they outnumber a plane's cells, so memory stays O(n^2).
+    An axis of more than MAX_SURFACE_AXIS_POINTS values raises
+    ValidationError before path is opened.
     """
     labels = [repr(float(value)) for value in axes]
     if len(labels) > MAX_SURFACE_AXIS_POINTS:
@@ -138,19 +147,17 @@ def write_surface(path: str, axes: Iterable[float], planes: Iterable[np.ndarray]
             if len(texts) > len(cells):
                 texts.clear()
             parts[0::3] = [a] * len(cells)
-            parts[2::3] = map(texts.__getitem__, plane.ravel().view("int64").tolist())
+            parts[2::3] = map(texts.__getitem__, memoryview(plane).cast("B").cast("q").tolist())
             handle.write("".join(parts))
 
 
 def _coarse_optimum(scale: float, offset: float, step_deg: float) -> tuple[float, float]:
     """(b, a') of the first minimum of the a = 0 plane of the scan grid.
 
-    The plane is the one lhs_planes yields first: axis x = [0, 180) at
-    step_deg (the values of np.arange(0.0, 180.0, step_deg)) and, at row j
-    (b = x_j) and column k (a' = b' = x_k), the lhs
-    scale * (cos 2x_j + cos 2x_k + cos 2(x_j - x_k)) + offset, summed in
-    that order. Ties go to the first cell in row-major order, as with
-    np.argmin. scale must be >= 0, as every Form.plane's is.
+    The plane is the one lhs_planes yields first, from the same _axis and
+    _plane_row, with b = x_j at row j and a' = b' = x_k at column k. Ties
+    go to the first cell in row-major order, as with np.argmin. scale must
+    be >= 0, as every Form.plane's is.
 
     A row is scored only if it can hold the minimum. Since
     cos 2x_k + cos 2(x_k - x_j) = 2 cos x_j cos(2x_k - x_j) >= -2|cos x_j|,
@@ -162,15 +169,11 @@ def _coarse_optimum(scale: float, offset: float, step_deg: float) -> tuple[float
     scored first; then row j is scored only while (bound_j, j) is below
     the incumbent's (value, row).
     """
-    axis = [i * step_deg for i in range(math.ceil(180.0 / step_deg))]
-    row0 = [cos_double_angle(-x) for x in axis]  # cos 2(a - x) at a = 0
+    axis = _axis(step_deg)
+    row0 = _fringes(0.0, axis)  # cos 2(a - x) at a = 0
 
     def score(j: int) -> tuple[float, int, int]:
-        x, first = axis[j], row0[j]
-        row = [
-            scale * (first + cell + cos_double_angle(x - xk)) + offset
-            for xk, cell in zip(axis, row0)
-        ]
+        row = _plane_row(scale, offset, row0[j], row0, _fringes(axis[j], axis))
         value = min(row)
         return value, j, row.index(value)
 
@@ -196,14 +199,14 @@ def grid_scan(
 
     Rotating all axes together leaves every form unchanged, so the scan
     holds a = 0 and searches (b, a') with b' = a'. The coarse phase finds
-    the first minimum of the a = 0 plane of lhs_planes' grid over
-    [0, 180) at step_deg, scoring only the few rows of that plane that a
-    lower bound cannot rule out (see _coarse_optimum), without numpy;
-    when 180 / step_deg is an integer that plane holds the optimum of the
-    whole (a, b, a') grid. refine_rounds rounds of coordinate refinement
-    follow, each halving the step and re-scoring a local 5x5 neighborhood
-    in (b, a') with the scalar objective; refine_rounds is at most
-    MAX_REFINE_ROUNDS. Ties break toward the smallest normalized (b, a').
+    the first minimum of the a = 0 plane of lhs_planes' grid over [0, 180)
+    at step_deg, scoring only the rows that a lower bound cannot rule out
+    (see _coarse_optimum); when 180 / step_deg is an integer that plane
+    holds the optimum of the whole (a, b, a') grid. refine_rounds rounds
+    of coordinate refinement follow, each halving the step and re-scoring
+    a local 5x5 neighborhood in (b, a') with the scalar objective;
+    refine_rounds is at most MAX_REFINE_ROUNDS. Ties break toward the
+    smallest normalized (b, a').
     """
     form = _scan_form(inequality, source)
     require_in_range("step_deg", step_deg, MIN_STEP_DEG, MAX_STEP_DEG)

@@ -5,9 +5,9 @@ process through `belltest.cli.main` in a fresh directory that holds two model
 files, `model.lhv` (valid) and `bad.lhv` (a negative weight). A line may start
 with marks:
 
-- `@numpy`: its bytes come from numpy (mc's PCG64 stream and multinomial
-  draws, the cosines of a scan's --surface), so another numpy may move
-  them; a scan without --surface finds its optimum without numpy;
+- `@numpy`: its bytes come from mc's draws (numpy's PCG64 stream and
+  multinomial), so another numpy may move them; a scan and its --surface
+  are computed without numpy;
 - `@posix`: its bytes hold an OS error text that differs off POSIX.
 
 Line N of digests.txt, after its one comment line naming the numpy and Python

@@ -390,7 +390,7 @@ class TestScan:
             else qm.RealSource(qm.CascadeGeometry(eta=0.3, phi_deg=40.0))
         )
         axes, planes = optimizer.lhs_planes(argv[1], source, 22.5)
-        assert surface.read_bytes() == surface_reference(axes.tolist(), planes)
+        assert surface.read_bytes() == surface_reference(np.asarray(axes).tolist(), planes)
 
     def test_detection_scan(self, capsys):
         payload = run_json(capsys, [

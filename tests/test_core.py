@@ -301,7 +301,7 @@ QUAD = SettingsQuad.of(0.0, 120.0, 240.0, 240.0)
 IDEAL = qm.IdealSource()
 NAN = math.nan
 PAIRS = "[1, 1099511627776]"
-STEP = "[0.087890625, 45.0]"
+STEP = "[0.703125, 45.0]"
 
 RANGE_SITES = {
     "chunk_counts": montecarlo.chunk_counts,
@@ -329,8 +329,8 @@ class TestRangeRule:
         ("RunPlan", 0, f"pairs_per_setting must be in {PAIRS}, got 0"),
         ("RunPlan", 2**40 + 1, f"pairs_per_setting must be in {PAIRS}, got 1099511627777"),
         ("RunPlan", NAN, f"pairs_per_setting must be in {PAIRS}, got nan"),
-        ("lhs_planes", _below(optimizer.MIN_STEP_DEG),
-         f"step_deg must be in {STEP}, got 0.08789062499999999"),
+        ("lhs_planes", _below(optimizer.MIN_SURFACE_STEP_DEG),
+         f"step_deg must be in {STEP}, got 0.7031249999999999"),
         ("lhs_planes", _above(45.0), f"step_deg must be in {STEP}, got 45.00000000000001"),
         ("lhs_planes", NAN, f"step_deg must be in {STEP}, got nan"),
         ("grid_scan", -1, "refine_rounds must be in [0, 64], got -1"),
@@ -367,7 +367,7 @@ class TestRangeRule:
         ("chunk_counts", 1),
         ("RunPlan", 1),
         ("RunPlan", 2**40),
-        ("lhs_planes", optimizer.MIN_STEP_DEG),
+        ("lhs_planes", optimizer.MIN_SURFACE_STEP_DEG),
         ("lhs_planes", 45.0),
         ("grid_scan", 0),
         ("grid_scan", 64),

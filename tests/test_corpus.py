@@ -4,6 +4,9 @@ prints, writes and exits exactly as when its digest was taken.
 The digests were taken from the code before the scan surface writer moved
 into optimizer; those of lines 105-114, scans without --surface, from the
 code before the scan's coarse phase stopped building its plane with numpy.
+The --surface scans of lines 70-77, 83 and 84 kept their digests when
+surfaces stopped being built with numpy: like lines 105-114, their bytes
+depend on math.cos, not on numpy.
 tests/corpus/update.py rewrites them; a change that runs it lists every
 line whose digest moved.
 """

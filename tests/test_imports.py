@@ -5,10 +5,10 @@ PYTHONDONTWRITEBYTECODE=1 a fresh import adds under 3 ms to a bare
 interpreter's start, against 21-25 ms when it also loaded core,
 inequalities, lhv and qm (medians of 40 alternating runs on 2 vCPUs).
 `eval` loads cli, core, inequalities and qm; `verify-theorem`
-and `mc --source lhv` add lhv; `mc` adds numpy, and `scan` adds it only
-to write `--surface`. The loaded
-modules are read from `sys.modules` in the child, since `-X importtime`
-omits a submodule that `from . import x` binds.
+and `mc --source lhv` add lhv; `mc` adds numpy, the only command that
+does (`scan` writes `--surface` without it). The loaded modules are read
+from `sys.modules` in the child, since `-X importtime` omits a submodule
+that `from . import x` binds.
 """
 
 import json
@@ -33,16 +33,17 @@ LIGHT_COMMANDS = [
     ["eval", "--ineq", "detection-sym", "--source", "qm-real"],
 ]
 
-# A scan finds its optimum without numpy; only writing --surface needs it.
+# A scan finds its optimum and writes --surface without numpy.
 NUMPY_FREE_SCANS = [
     ["scan", "--step", "0.25"],
     ["scan", "--step", "0.087890625"],
+    ["scan", "--step", "15", "--rounds", "0", "--surface", "s.csv"],
 ]
 
 
-def _python(*argv):
+def _python(*argv, cwd=None):
     return subprocess.run(
-        [sys.executable, *argv], capture_output=True, text=True, env=ENV, timeout=60,
+        [sys.executable, *argv], capture_output=True, text=True, env=ENV, timeout=60, cwd=cwd,
     )
 
 
@@ -79,8 +80,8 @@ def _imported_modules(importtime_stderr):
 
 
 @pytest.mark.parametrize("argv", [*LIGHT_COMMANDS, *NUMPY_FREE_SCANS], ids=" ".join)
-def test_light_command_imports_no_numpy(argv):
-    result = _python("-X", "importtime", "-m", "belltest", *argv)
+def test_light_command_imports_no_numpy(argv, tmp_path):
+    result = _python("-X", "importtime", "-m", "belltest", *argv, cwd=tmp_path)
     assert result.returncode == 0, result.stderr
     modules = _imported_modules(result.stderr)
     assert "belltest.cli" in modules
@@ -97,13 +98,6 @@ def test_light_command_imports_no_dataclasses_or_inspect(argv):
 
 def test_mc_still_imports_numpy():
     argv = ["mc", "--pairs", "1000", "--source", "qm-ideal"]
-    result = _python("-X", "importtime", "-m", "belltest", *argv)
-    assert result.returncode == 0, result.stderr
-    assert "numpy" in _imported_modules(result.stderr)
-
-
-def test_scan_surface_imports_numpy(tmp_path):
-    argv = ["scan", "--step", "15", "--rounds", "0", "--surface", str(tmp_path / "s.csv")]
     result = _python("-X", "importtime", "-m", "belltest", *argv)
     assert result.returncode == 0, result.stderr
     assert "numpy" in _imported_modules(result.stderr)

@@ -10,6 +10,7 @@ from belltest.optimizer import grid_scan, objective
 
 IDEAL = qm.IdealSource()
 REAL_F1 = qm.RealSource(qm.CascadeGeometry(eta=0.2, phi_deg=30.0, f_override=1.0))
+REAL = qm.RealSource(qm.CascadeGeometry(eta=0.3, phi_deg=41.7))
 
 TARGET_DIFFS = (120.0, 120.0, 120.0, 0.0)
 
@@ -17,12 +18,21 @@ TARGET_DIFFS = (120.0, 120.0, 120.0, 0.0)
 def _surface(inequality, source, step):
     """Every (a, b, a', b', lhs) sample of the scan grid, planes in order."""
     axes, planes = optimizer.lhs_planes(inequality, source, step)
-    values = axes.tolist()
+    values = np.asarray(axes).tolist()
     return [
         (a, b, ap, ap, lhs)
         for a, plane in zip(values, planes)
-        for (b, ap), lhs in zip(product(values, repeat=2), plane.ravel().tolist())
+        for (b, ap), lhs in zip(product(values, repeat=2), np.asarray(plane).tolist())
     ]
+
+
+def _numpy_planes(scale, offset, step):
+    """The a-planes of the scan grid by numpy broadcasting, each indexed (b, a'):
+    an independent reference for lhs_planes."""
+    axes = np.arange(0.0, 180.0, step)
+    fringes = np.cos(np.radians(2.0 * (axes[:, None] - axes[None, :])))
+    for row in fringes:
+        yield scale * (row[:, None] + row[None, :] + fringes) + offset
 
 
 def fold(diff):
@@ -90,8 +100,10 @@ class TestGridScan:
     def test_coarse_plane_matches_full_grid(self, step, inequality, source):
         # Brute force: the first minimum over all n^3 points, planes in order.
         axes, planes = optimizer.lhs_planes(inequality, source, step)
+        axes = np.asarray(axes)
         best_value, best_axes = np.inf, None
         for a, plane in zip(axes, planes):
+            plane = np.asarray(plane).reshape(axes.size, axes.size)
             j, k = divmod(int(np.argmin(plane)), axes.size)
             if plane[j, k] < best_value:
                 best_value, best_axes = plane[j, k], (a, axes[j], axes[k])
@@ -100,6 +112,16 @@ class TestGridScan:
         result = grid_scan(inequality, source, step_deg=step, refine_rounds=0)
         assert result.best_quad == expected
         assert result.best_lhs == objective(expected, inequality, source)
+
+    # Finer and coarser than the steps whose surface digests are pinned.
+    @pytest.mark.parametrize("step", [45.0, 1.40625])
+    @pytest.mark.parametrize("inequality,source", [("ternary", IDEAL), ("detection", REAL)])
+    def test_planes_match_numpy_reference_bit_for_bit(self, step, inequality, source):
+        axes, planes = optimizer.lhs_planes(inequality, source, step)
+        assert axes == np.arange(0.0, 180.0, step).tolist()
+        reference = _numpy_planes(*FORMS[inequality].plane(source), step)
+        for plane, expected in zip(planes, reference, strict=True):
+            assert plane.tobytes() == expected.tobytes()
 
     def test_coarse_scan_minimum_dominates_surface(self):
         result = grid_scan("ternary", IDEAL, step_deg=45.0, refine_rounds=0)
@@ -205,9 +227,9 @@ class TestUnscannedFormsRefused:
 class TestDenseOracle:
     def test_quarter_degree_grid_respects_global_minimum(self):
         # Independent check of the -1.5 optimum within b' = a': sweep a dense grid
-        # with the vectorized path and confirm nothing dips below it.
+        # with numpy broadcasting and confirm nothing dips below it.
         global_min = np.inf
-        for plane in optimizer.lhs_planes("ternary", IDEAL, 0.25)[1]:
+        for plane in _numpy_planes(*FORMS["ternary"].plane(IDEAL), 0.25):
             global_min = min(global_min, float(plane.min()))
         assert global_min >= -1.5 - 1e-9
         assert global_min == pytest.approx(-1.5, abs=1e-6)
@@ -218,7 +240,7 @@ def surface_reference(axes, planes):
     rows = [
         f"{a!r},{b!r},{ap!r},{ap!r},{lhs!r}"
         for a, plane in zip(axes, planes)
-        for (b, ap), lhs in zip(product(axes, repeat=2), plane.ravel().tolist())
+        for (b, ap), lhs in zip(product(axes, repeat=2), np.asarray(plane).ravel().tolist())
     ]
     return ("\n".join(["a,b,a_prime,b_prime,lhs", *rows]) + "\n").encode("utf-8")
 

@@ -1,7 +1,12 @@
 """Property tests: invariances the closed forms and the local bound must keep
 for every input, not only at the hand-picked points of the other tests."""
 
+import contextlib
+import io
+import json
 import math
+import os
+import tempfile
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -11,7 +16,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
-from belltest import core, lhv, optimizer, qm  # noqa: E402
+from belltest import cli, core, lhv, optimizer, qm  # noqa: E402
 from belltest.core import CELL_NAMES, PAIRS, SUM_TOL, normalize_degrees  # noqa: E402
 from belltest.inequalities import (  # noqa: E402
     FORMS,
@@ -25,6 +30,7 @@ from belltest.montecarlo import (  # noqa: E402
     CoincidenceCounters,
     evaluate_symmetric_detection,
 )
+from test_optimizer import _numpy_planes  # noqa: E402
 
 angles = st.floats(min_value=-720.0, max_value=720.0, allow_nan=False)
 geometries = st.builds(
@@ -340,11 +346,9 @@ def test_mc_lhs_is_one_fsum_of_the_count_ratios(cross, primed):
 
 
 def _numpy_plane_argmin(scale, offset, step):
-    """(b, a') at numpy's first argmin of the a = 0 plane, built as lhs_planes builds it."""
+    """(b, a') at numpy's first argmin of the a = 0 plane, built by numpy broadcasting."""
     axes = np.arange(0.0, 180.0, step)
-    fringes = np.cos(np.radians(2.0 * (axes[:, None] - axes[None, :])))
-    row = fringes[0]
-    plane = scale * (row[:, None] + row[None, :] + fringes) + offset
+    plane = next(_numpy_planes(scale, offset, step))
     j, k = divmod(int(np.argmin(plane)), axes.size)
     return float(axes[j]), float(axes[k])
 
@@ -382,3 +386,108 @@ def test_scan_planes_never_scale_below_zero(geom):
         form = FORMS[name]
         source = qm.IdealSource() if form.source is qm.IdealSource else qm.RealSource(geom)
         assert form.plane(source)[0] >= 0.0
+
+
+# Command-line robustness: argvs that mix every subcommand's flags with
+# hostile values. An in-range --pairs is at most 1e5, and a --surface always
+# comes with a --step of at least 3 or one that is rejected, so each argv
+# runs in milliseconds.
+FLOAT_TEXTS = st.one_of(
+    st.sampled_from(("nan", "-nan", "inf", "-inf", "1e400", "-1e400", "5e-324", "-5e-324",
+                     "0", "-0", "1", "-1", "0.5", "30", "90", "1e308", "", "x")),
+    st.floats().map(repr),
+)
+INT_TEXTS = st.one_of(
+    st.integers(-3, 100).map(str),
+    st.sampled_from(("1099511627777", str(10**30), "1e5", "nan", "", "x")),
+)
+PATH_TEXTS = st.sampled_from(("out.csv", "d", ".", "missing/out.csv", "bad.lhv", ""))
+ARGV_FLAGS = {
+    "--ineq": st.sampled_from((*FORMS, "nope", "")),
+    "--source": st.sampled_from(("qm-ideal", "qm-real", "lhv", "x")),
+    "--angles": st.one_of(
+        st.sampled_from(("", ",", "1,2", "-30,400,12.25,179.99", "1e400,0,0,0", "a,b,c,d")),
+        st.lists(FLOAT_TEXTS, min_size=1, max_size=5).map(",".join),
+    ),
+    "--diffs": st.one_of(
+        st.sampled_from(("", ",", "120,120,120", "120,120,120,0", "1e308,120,120", "1,2,3,4,5")),
+        st.lists(FLOAT_TEXTS, min_size=1, max_size=5).map(",".join),
+    ),
+    "--eta": FLOAT_TEXTS,
+    "--phi": FLOAT_TEXTS,
+    "--force-F": FLOAT_TEXTS,
+    "--format": st.sampled_from(("json", "csv", "xml")),
+    "--pairs": st.one_of(
+        st.integers(-3, 10**5).map(str),
+        st.integers(min_value=MAX_PAIRS_PER_SETTING + 1).map(str),
+        st.sampled_from(("1e5", "nan", "", "x")),
+    ),
+    "--seed": st.one_of(INT_TEXTS, st.integers().map(str)),
+    "--model": st.sampled_from(("model.lhv", "bad.lhv", "missing.lhv", "d", "")),
+    "--workers": INT_TEXTS,
+    "--counters": PATH_TEXTS,
+    "--manifest": PATH_TEXTS,
+    "--step": st.one_of(
+        FLOAT_TEXTS, st.floats(min_value=optimizer.MIN_STEP_DEG, max_value=45.0).map(repr)
+    ),
+    "--rounds": INT_TEXTS,
+    "--surface": PATH_TEXTS,
+}
+SURFACE_STEP_TEXTS = st.sampled_from(
+    ("3", "7", "15", "45", "0.5", "60", "-1", "nan", "inf", "1e400", "5e-324", "", "x")
+)
+
+
+GEOMETRY_FLAGS = ("--source", "--eta", "--phi", "--force-F", "--format")
+OWN_FLAGS = {
+    "eval": ("--ineq", "--angles", "--diffs", *GEOMETRY_FLAGS),
+    "mc": ("--pairs", "--seed", "--model", "--workers", "--angles", "--diffs", "--counters",
+           "--manifest", *GEOMETRY_FLAGS),
+    "scan": ("--ineq", "--step", "--rounds", "--surface", *GEOMETRY_FLAGS),
+}
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand (or none, or an unknown one) and up to six distinct
+    flags, mostly its own, with one of any subcommand's a quarter of the time."""
+    argv = draw(st.sampled_from(([], ["verify-theorem"], ["eval"], ["mc"], ["scan"], ["nope"])))
+    own = OWN_FLAGS.get(argv[0] if argv else "", ())
+    flags = draw(st.lists(st.sampled_from(own or sorted(ARGV_FLAGS)), max_size=6, unique=True))
+    if draw(st.integers(0, 3)) == 0:
+        flags.append(draw(st.sampled_from(sorted(set(ARGV_FLAGS) - set(flags)))))
+    if "--surface" in flags and "--step" not in flags:
+        flags.append("--step")  # the default step of 1 would write 180^3 rows
+    for flag in flags:
+        surface_step = flag == "--step" and "--surface" in flags
+        argv += [flag, draw(SURFACE_STEP_TEXTS if surface_step else ARGV_FLAGS[flag])]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=argvs())
+@example(argv=["scan", "--step", "3", "--surface", "d"])
+@example(argv=["mc", "--pairs", "1000", "--source", "lhv", "--model", "bad.lhv"])
+@example(argv=["eval", "--ineq", "detection", "--source", "qm-real", "--eta", "5e-324"])
+def test_any_argv_exits_0_or_with_one_json_error(argv):
+    # Each argv runs in a fresh directory that holds a valid model file, a
+    # model with a negative weight and a directory d.
+    home = os.getcwd()
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as workdir:
+        os.chdir(workdir)
+        try:
+            lhv.save_model(lhv.FourAxisModel.uniform(), "model.lhv")
+            with open("bad.lhv", "w", encoding="utf-8") as handle:
+                handle.write("++++ -0.5\n")
+            os.mkdir("d")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+        finally:
+            os.chdir(home)
+    if code == 0:
+        assert err.getvalue() == "", argv
+    else:
+        assert code == 1, (argv, code, err.getvalue())
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and "error" in json.loads(lines[0]), (argv, lines)
