@@ -96,13 +96,9 @@ class InequalityReport(Record):
 def _report(name: str, lhs: float, bound: float, sense: Literal["ge", "le"]) -> InequalityReport:
     margin = lhs - bound if sense == "ge" else bound - lhs
     ratio = lhs / bound if bound != 0.0 else 0.0
+    # every field positional, so Record skips its keyword binding
     return InequalityReport(
-        name=name,
-        lhs=lhs,
-        bound=bound,
-        margin=margin,
-        violated=margin < -VIOLATION_EPS,
-        violation_factor=ratio if ratio > 1.0 else 1.0,
+        name, lhs, bound, margin, margin < -VIOLATION_EPS, ratio if ratio > 1.0 else 1.0
     )
 
 

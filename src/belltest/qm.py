@@ -106,7 +106,8 @@ def ideal_pair_probabilities(theta_diff_deg: float) -> PairProbabilities:
     s = math.sin(math.radians(theta))
     like = 0.5 * c * c
     unlike = 0.5 * s * s
-    return PairProbabilities(pp=like, pm=unlike, mp=unlike, mm=like)
+    # all nine cells positional, so Record skips its keyword binding
+    return PairProbabilities(like, unlike, unlike, like, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def detection_rates(a: float, b: float, geom: CascadeGeometry) -> DetectionRates:

@@ -1,9 +1,9 @@
 """Byte-identity corpus: run each command line of commands.txt, digest its output.
 
 Each line of commands.txt is one argv for `belltest` (shell-quoted), run in
-process through `belltest.cli.main` in a fresh directory that holds two model
-files, `model.lhv` (valid) and `bad.lhv` (a negative weight). A line may start
-with marks:
+process through `belltest.cli.main` in a fresh directory that holds the model
+files of FIXTURES: `model.lhv`, `two-vertex.lhv` and `random3.lhv` (valid) and
+`bad.lhv` (a negative weight). A line may start with marks:
 
 - `@numpy`: its bytes come from mc's draws (numpy's PCG64 stream and
   multinomial), so another numpy may move them; a scan and its --surface
@@ -32,6 +32,13 @@ from itertools import product
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
+if __name__ == "__main__":
+    sys.path.insert(0, str(HERE.parents[1] / "src"))  # the code in src/, not an installed copy
+
+import numpy  # noqa: E402
+
+from belltest import cli, lhv  # noqa: E402
+
 COMMANDS = HERE / "commands.txt"
 DIGESTS = HERE / "digests.txt"
 MARKS = ("@numpy", "@posix")
@@ -42,6 +49,12 @@ FIXTURES = {
         f"{''.join(key)} {k / 3321!r}\n" for k, key in enumerate(product("+0-", repeat=4), 1)
     ),
     "bad.lhv": "++++ -0.5\n",
+    # half on ++00 and half on +-0-: lhs -3.0 at zero spread
+    "two-vertex.lhv": "".join(
+        f"{key} {0.5 if key in ('++00', '+-0-') else 0.0}\n"
+        for key in map("".join, product("+0-", repeat=4))
+    ),
+    "random3.lhv": lhv.save_model_text(lhv.random_model(3)),
 }
 
 
@@ -63,8 +76,6 @@ def load_digests() -> tuple[str, list[str]]:
 
 def run(argv: list[str], workdir: Path) -> str:
     """Run one command in workdir (which must be empty) and digest what it did."""
-    from belltest import cli
-
     for name, text in FIXTURES.items():
         (workdir / name).write_text(text, encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
@@ -89,9 +100,6 @@ def run(argv: list[str], workdir: Path) -> str:
 
 
 def main() -> int:
-    sys.path.insert(0, str(HERE.parents[1] / "src"))
-    import numpy
-
     old = load_digests()[1] if DIGESTS.exists() else []
     digests = []
     for number, (_, argv) in enumerate(load_commands(), 1):

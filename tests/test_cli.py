@@ -1,4 +1,3 @@
-import hashlib
 import json
 import math
 import os
@@ -398,84 +397,6 @@ class TestScan:
             "--step", "15", "--rounds", "3", "--force-F", "1",
         ])
         assert payload["best_lhs"] == pytest.approx(-1.5, abs=1e-4)
-
-    # SHA-256 of scan stdout (JSON, CSV) and of the --surface file, taken from
-    # the output before the scanned forms' plane formulas moved into FORMS.
-    # 13 degrees does not divide 180, so the a = 0 plane is an open step.
-    @pytest.mark.parametrize("ineq,source,step,rounds,json_sha,csv_sha,surface_sha", [
-        ("ternary", "qm-ideal", "15", "0",
-         "df78b90b530d897deee335e0a81d71c5f05d118509dde96a2003e02b950d70ae",
-         "7e38084863b101fd65de5b2882d126184efbe72d81df372ca6e26fb5f973abdb",
-         "1d06785900bf3754edfdcae0991b2728112c34346ba5baea6b8c32696de840d2"),
-        ("ternary", "qm-ideal", "15", "2",
-         "c8c24b7ffa95d37778e79b94724f1301462700e16ac4c97addee72ad47aab33f",
-         "7e38084863b101fd65de5b2882d126184efbe72d81df372ca6e26fb5f973abdb",
-         "1d06785900bf3754edfdcae0991b2728112c34346ba5baea6b8c32696de840d2"),
-        ("ternary", "qm-ideal", "13", "0",
-         "ff81aaf0ee44c3624b0fd53e14ad16c0a9acc9288c5b832226d672401f7e0dec",
-         "5e997312ee61dd52ddbc9fd4ad4335859b5bd687139264661dc25241046b83e9",
-         "9dc0aa462f39a84336d78db3c118d083e30f632e0d8bb25a16b0cc2ddb9b08fd"),
-        ("ternary", "qm-ideal", "13", "2",
-         "46f05f171f4422e1161418cc38dadfaf78d7dfcf5ba5837d09ee1d479fa06ff8",
-         "167515e535c03a87cad63ff4e56e777d4be4d9fdd47b5a049ecb4baef83db429",
-         "9dc0aa462f39a84336d78db3c118d083e30f632e0d8bb25a16b0cc2ddb9b08fd"),
-        ("detection", "qm-real", "15", "0",
-         "e206f023f1f0c08e565365054da118b7937d21930e8adf5c246847a1da2eb00e",
-         "bf61a930dd4714fe942bf2ce9fa65ae7ea8c17112c74db3d3ba7d4e08961eebe",
-         "4f805b01f05c80076d5cad7862e63c94b5f14db4f753243550bcbb5fb607ebcd"),
-        ("detection", "qm-real", "15", "2",
-         "f86d16fb59e38ee7a0e1dea31c018c24d19257086aa0f0e3b68fd5afd0a0f40c",
-         "bf61a930dd4714fe942bf2ce9fa65ae7ea8c17112c74db3d3ba7d4e08961eebe",
-         "4f805b01f05c80076d5cad7862e63c94b5f14db4f753243550bcbb5fb607ebcd"),
-        ("detection", "qm-real", "13", "0",
-         "c818fbba5f07ae20dc301f76537a017ba5f1dcbbae083396256af6f1f33904b1",
-         "2deb52771f78ca7b2b4debd696a0587a56b64f56b37789e637fee49a828861a4",
-         "d27447484863d150f774bf617c41ed81f35722cc6ea33904a4f443f3706e5b47"),
-        ("detection", "qm-real", "13", "2",
-         "d7737c8b08b55ea46a3c2f1abe715ee0e164421431dadb283eeecd85fd516aab",
-         "6918d40e3f0cdab7d57f1c225dcd2b70b31e123b2cae50183c733adb6430c2b3",
-         "d27447484863d150f774bf617c41ed81f35722cc6ea33904a4f443f3706e5b47"),
-    ])
-    def test_scan_bytes_are_pinned(self, capsys, tmp_path, ineq, source, step, rounds,
-                                   json_sha, csv_sha, surface_sha):
-        surface = tmp_path / "surface.csv"
-        argv = ["scan", "--ineq", ineq, "--source", source, "--step", step, "--rounds", rounds]
-        code, out, _ = run_cli(capsys, [*argv, "--surface", str(surface)])
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == json_sha
-        assert hashlib.sha256(surface.read_bytes()).hexdigest() == surface_sha
-        code, out, _ = run_cli(capsys, [*argv, "--format", "csv"])
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == csv_sha
-
-    # SHA-256 of the --surface file, taken from the output of the per-row repr
-    # writer: step 2 is the benchmark surface; 7 and 11 do not divide 180.
-    @pytest.mark.parametrize("ineq,source,step,surface_sha", [
-        ("ternary", "qm-ideal", "2",
-         "02c74caa84efe38c7eb20454deaa8a2625e65ff1871fc4f450a204d41df7a5ba"),
-        ("ternary", "qm-ideal", "3",
-         "ce5311d7812798e772cbe33842459113345ae01fb04a9347fc551756858ab588"),
-        ("ternary", "qm-ideal", "7",
-         "b9d4dacaa56a956243b8ce0ead731cd7d3612a5311bfe4f6e1f5f8c8015f4c54"),
-        ("ternary", "qm-ideal", "11",
-         "701134cd32b4e08700a68741b1ab2ef3d72d56830159c8090a31e52e3bb630dd"),
-        ("detection", "qm-real", "2",
-         "fe82775004c38305304a822e7942c38eefd75d445ffbdcdf2fdc3e4fcd908404"),
-        ("detection", "qm-real", "3",
-         "b2d7f0d66b1164652519491855a28ef9b02b61265a4ccad077ebd39d9503072b"),
-        ("detection", "qm-real", "7",
-         "c1e090bbb22eb7bc9ae82694ce63d57aff74f2dc7078d3df373b2957f73b3654"),
-        ("detection", "qm-real", "11",
-         "331ee325b1f128a09131c248f2d47f1b3c03800d4ec4c13c12dc68d2491084bd"),
-    ])
-    def test_surface_bytes_are_pinned(self, capsys, tmp_path, ineq, source, step, surface_sha):
-        surface = tmp_path / "surface.csv"
-        code, _, _ = run_cli(capsys, [
-            "scan", "--ineq", ineq, "--source", source, "--step", step, "--rounds", "0",
-            "--surface", str(surface),
-        ])
-        assert code == 0
-        assert hashlib.sha256(surface.read_bytes()).hexdigest() == surface_sha
 
     @pytest.mark.parametrize("step", [
         "0.1", "0.5", repr(inequalities.MIN_SURFACE_STEP_DEG * (1.0 - 1e-9)),

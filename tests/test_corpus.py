@@ -1,5 +1,6 @@
 """Byte-identity corpus: every command of tests/corpus/commands.txt still
-prints, writes and exits exactly as when its digest was taken.
+prints, writes and exits exactly as when its digest was taken. The corpus is
+the one home of the CLI's byte pins.
 
 The digests were taken from the code before the scan surface writer moved
 into optimizer; those of lines 105-114, scans without --surface, from the
@@ -7,8 +8,25 @@ code before the scan's coarse phase stopped building its plane with numpy.
 The --surface scans of lines 70-77, 83 and 84 kept their digests when
 surfaces stopped being built with numpy: like lines 105-114, their bytes
 depend on math.cos, not on numpy.
-tests/corpus/update.py rewrites them; a change that runs it lists every
-line whose digest moved.
+
+Lines 115-147 hold the pins that test modules and CI kept of their own,
+with digests taken from the code before they moved here:
+- 115-118: the symmetric-angle eval pins (--angles=-360,480,-300,-600);
+- 119-124: the seed-5 mc pins at those angles; line 119 also writes the
+  manifest, and lines 123-124 read two-vertex.lhv (lhs -3.0 at zero spread);
+- 125-126: zero spread at margin 4 (sigma_distance null in JSON, inf in CSV);
+- 127: the counters of random3.lhv;
+- 128-143: the step-15 and step-13 scans at rounds 0 and 2, JSON with
+  --surface, then CSV (13 does not divide 180, so the a = 0 plane is an
+  open step); line 128 is the surface CI checked;
+- 144-147: the step-11 ternary and the step-3, 7 and 11 detection surfaces.
+Earlier lines already held the rest: the free-angle eval pins (lines 6-7,
+26-27, 36-37 and 46-47; line 46 passes its negative angles after a space),
+verify-theorem (1), the 3000000-pair qm-ideal mc stdout and counters (62),
+and the step-2, 3 and 7 surfaces (70-72 and 74).
+
+tests/corpus/update.py rewrites the digests; a change that runs it lists
+every line whose digest moved.
 """
 
 import importlib.util
@@ -31,6 +49,11 @@ TAKEN_WITH, DIGESTS = corpus.load_digests()
 
 def test_one_digest_per_command():
     assert len(DIGESTS) == len(COMMANDS)
+
+
+def test_no_two_lines_run_the_same_command():
+    argvs = [shlex.join(argv) for _, argv in COMMANDS]
+    assert sorted({argv for argv in argvs if argvs.count(argv) > 1}) == []
 
 
 @pytest.mark.parametrize(

@@ -28,9 +28,14 @@ def _surface(inequality, source, step):
 
 def _numpy_planes(scale, offset, step):
     """The a-planes of the scan grid by numpy broadcasting, each indexed (b, a'):
-    an independent reference for lhs_planes."""
+    an independent reference for lhs_planes. Its fringes are cos_double_angle
+    of numpy's axis differences, so it checks indexing and summation order, not
+    whether a numpy build's cosine matches math.cos."""
     axes = np.arange(0.0, 180.0, step)
-    fringes = np.cos(np.radians(2.0 * (axes[:, None] - axes[None, :])))
+    # each distinct difference once: a fine axis has n**2 cells but few distinct values
+    diffs, where = np.unique(axes[:, None] - axes[None, :], return_inverse=True)
+    fringes = np.array([cos_double_angle(d) for d in diffs.tolist()])[where]
+    fringes = fringes.reshape(axes.size, axes.size)
     for row in fringes:
         yield scale * (row[:, None] + row[None, :] + fringes) + offset
 
