@@ -253,6 +253,18 @@ class TestMc:
         assert counters.read_bytes() == first_bytes
         assert manifest.read_text().startswith("belltest run manifest\n")
 
+    def test_manifest_records_the_normalized_axes(self, capsys, tmp_path):
+        # -360 normalizes to -0.0; 480, -300 and -600 to 120, 60 and 120.
+        manifest = tmp_path / "manifest.txt"
+        code, _, _ = run_cli(capsys, [
+            "mc", "--source", "qm-ideal", "--angles=-360,480,-300,-600", "--pairs", "1000",
+            "--manifest", str(manifest),
+        ])
+        assert code == 0
+        assert manifest.read_text(encoding="utf-8").splitlines()[1:5] == [
+            "quad_a=-0.0", "quad_b=120.0", "quad_a_prime=60.0", "quad_b_prime=120.0",
+        ]
+
     def test_pairs_zero_rejected(self, capsys):
         code, _, err = run_cli(capsys, ["mc", "--pairs", "0"])
         assert code == 1
@@ -603,3 +615,31 @@ class TestParsing:
         )
         assert result.returncode == 0
         assert '"min_functional_value": -1' in result.stdout
+
+    # CI runs these commands through the installed console script and through
+    # `python -m belltest` and compares what they print and write; here the
+    # module entry point is compared with cli.main run in process.
+    @pytest.mark.parametrize("argv", [
+        ["verify-theorem"],
+        ["eval", "--ineq", "ternary"],
+        ["mc", "--pairs", "1000", "--source", "qm-ideal"],
+        ["scan", "--step", "15", "--rounds", "0", "--surface", "surface.csv"],
+        ["mc", "--pairs", "3000000", "--source", "qm-ideal", "--seed", "7", "--counters", "c.csv"],
+        ["eval", "--ineq", "detection", "--source", "qm-real",
+         "--angles", "-30,400,12.25,179.99", "--eta", "0.37", "--phi", "41.3"],
+    ], ids=" ".join)
+    def test_module_entry_point_matches_main(self, capsys, tmp_path, monkeypatch, argv):
+        module, in_process = tmp_path / "module", tmp_path / "main"
+        module.mkdir()
+        in_process.mkdir()
+        pythonpath = [str(Path(belltest.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
+        result = subprocess.run(
+            [sys.executable, "-m", "belltest", *argv],
+            capture_output=True, text=True, env=env, timeout=60, cwd=module,
+        )
+        monkeypatch.chdir(in_process)
+        assert (result.returncode, result.stdout, result.stderr) == run_cli(capsys, argv)
+        written = [{path.name: path.read_bytes() for path in root.iterdir()}
+                   for root in (module, in_process)]
+        assert written[0] == written[1]

@@ -37,6 +37,8 @@ from pathlib import Path
 import numpy
 import pytest
 
+from belltest import lhv
+
 _spec = importlib.util.spec_from_file_location(
     "belltest_corpus", Path(__file__).resolve().parent / "corpus" / "update.py"
 )
@@ -54,6 +56,24 @@ def test_one_digest_per_command():
 def test_no_two_lines_run_the_same_command():
     argvs = [shlex.join(argv) for _, argv in COMMANDS]
     assert sorted({argv for argv in argvs if argvs.count(argv) > 1}) == []
+
+
+# Each valid fixture loads as the model its comment in update.FIXTURES names;
+# bad.lhv is refused, so the lines that read it pin an error.
+@pytest.mark.parametrize("name", sorted(corpus.FIXTURES))
+def test_fixture_holds_its_named_model(name):
+    text = corpus.FIXTURES[name]
+    if name == "bad.lhv":
+        with pytest.raises(lhv.ModelFileError):
+            lhv.load_model_text(text)
+        return
+    keys = [assignment.key() for assignment in lhv.enumerate_assignments()]
+    want = {
+        "model.lhv": [k / 3321 for k in range(1, 82)],
+        "two-vertex.lhv": [0.5 if key in ("++00", "+-0-") else 0.0 for key in keys],
+        "random3.lhv": list(lhv.random_model(3).weights),
+    }[name]
+    assert list(lhv.load_model_text(text).weights) == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize(
