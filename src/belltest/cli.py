@@ -3,8 +3,9 @@
 Reports go to stdout as JSON (default) or CSV. Exit codes: 0 success,
 1 invalid input, 2 internal-consistency failure (an enumeration that
 finds a local-bound violation, which would mean the code is broken).
-All commands are deterministic given their flags; the Monte Carlo seed
-falls back to the BELLTEST_SEED environment variable, then to 0.
+All commands are deterministic given their flags, except that mc also
+reads the BELLTEST_SEED environment variable: its seed falls back to
+BELLTEST_SEED when --seed is absent, then to 0.
 
 Each command loads only the layers it runs: this module loads core,
 inequalities and qm, all that eval needs, and never numpy; lhv loads

@@ -80,6 +80,7 @@ class FourAxisModel(Record):
         if len(self.weights) != 81:
             raise ValidationError(f"expected 81 weights, got {len(self.weights)}")
         require_distribution("weights", ("weights",) * 81, self.weights)
+        self.__dict__["weights"] = tuple(map(float, self.weights))  # builtin floats echo as such
 
     def weight(self, assignment: DeterministicAssignment) -> float:
         return self.weights[assignment_index(assignment)]

@@ -14,6 +14,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import math
+import operator
 from typing import TYPE_CHECKING, ClassVar, Iterator
 
 import numpy as np
@@ -30,7 +31,7 @@ from .core import (
     require_in_range,
     require_nonnegative,
 )
-from .inequalities import InequalityReport, SettingsQuad, detection_inequality_symmetric
+from .inequalities import LOCAL_BOUND, InequalityReport, SettingsQuad, _report
 
 if TYPE_CHECKING:
     from . import lhv
@@ -71,6 +72,13 @@ class CoincidenceCounters(Record):
     zz: int = 0
 
     def __post_init__(self) -> None:
+        # Python ints, so the estimator's exact products cannot wrap as int64 would.
+        counts = self.__dict__
+        for name in self._fields:
+            try:
+                counts[name] = operator.index(counts[name])
+            except TypeError:
+                raise ValidationError(f"{name} must be an integer, got {counts[name]!r}") from None
         cells = self.cells()
         require_nonnegative(self._fields, self._values())
         if sum(cells) != self.n_emitted:
@@ -361,8 +369,9 @@ def evaluate_symmetric_detection(
     """Plug counting estimates into the symmetric measurable inequality.
 
     counters_cross holds the shared cross-setting measurement (the three
-    equal-difference pairs), counters_primed the primed pair whose
-    coincidences and side-1 singles supply the remaining ratios. The
+    equal-difference pairs), counters_primed the primed pair. The lhs is
+    3 E_cross/T - E_primed/T + 1 (CHSH + 1; the singles count as 2, as
+    t0 >= T > 0), one fraction of the counts, rounded once. The
     standard error is first order, each counter set an independent
     multinomial: with like L = pp + mm and unlike U = pm + mp coincidences
     out of T = L + U, each ratio is a binomial proportion, so
@@ -383,19 +392,10 @@ def evaluate_symmetric_detection(
     total_c, total_p = like_c + unlike_c, like_p + unlike_p
     if total_c == 0 or total_p == 0:
         raise InsufficientStatisticsError("no coincidences at one of the settings")
-    # Side-1 singles include the primed coincidences, so they are > 0 here.
-    # Cells are below 2**53, so the evaluator's int / int ratios round as floats would.
-    s_plus, s_minus = primed.pp + primed.pm + primed.pz, primed.mp + primed.mm + primed.mz
-    report = detection_inequality_symmetric(
-        e_cross=like_c - unlike_c,
-        total_cross=total_c,
-        d_pp_primed=primed.pp,
-        d_mm_primed=primed.mm,
-        total_primed=total_p,
-        d_plus_primed=s_plus,
-        d_minus_primed=s_minus,
-        singles_total_primed=s_plus + s_minus,
-    )
+    # CHSH + 1 as one fraction of exact ints: dividing rounds once.
+    lhs_numerator = 3 * (like_c - unlike_c) * total_p - (like_p - unlike_p) * total_c
+    lhs = (lhs_numerator + total_c * total_p) / (total_c * total_p)
+    report = _report("detection-sym", lhs, LOCAL_BOUND, "ge")
     # The variance as one fraction of exact ints: dividing rounds once, so
     # std_error is within 1 ulp of the exact square root.
     numerator = 36 * like_c * unlike_c * total_p**3 + 4 * like_p * unlike_p * total_c**3

@@ -78,8 +78,12 @@ class CascadeGeometry(Record):
     def __post_init__(self) -> None:
         require_in_range("eta", self.eta, 0, 1, low_open=True)
         require_in_range("phi_deg", self.phi_deg, 0, 90, low_open=True)
+        # builtin floats, so the run manifest echoes eta=0.2, never np.float64(0.2)
+        fields = self.__dict__
+        fields["eta"], fields["phi_deg"] = float(self.eta), float(self.phi_deg)
         if self.f_override is not None:
             require_in_range("f_override", self.f_override, 0, 1)
+            fields["f_override"] = float(self.f_override)
 
     @property
     def f_factor(self) -> float:

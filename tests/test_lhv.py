@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from belltest import core, inequalities, lhv
@@ -318,6 +319,14 @@ class TestModelFiles:
         loaded = lhv.load_model(path)
         for original, reloaded in zip(model.weights, loaded.weights):
             assert reloaded == pytest.approx(original, abs=1e-15)
+
+    def test_numpy_built_model_round_trips(self, tmp_path):
+        # Weights are stored as builtin floats, so each line reads
+        # 0.012345679012345678, not np.float64(0.012345679012345678).
+        model = FourAxisModel(tuple(np.full(81, 1 / 81)))
+        path = tmp_path / "model.lhv"
+        lhv.save_model(model, path)
+        assert lhv.load_model(path) == model == FourAxisModel.uniform()
 
     def test_comments_and_blanks_ignored(self):
         text = "# comment\n\n" + lhv.save_model_text(FourAxisModel.uniform())

@@ -223,6 +223,22 @@ class TestCounters:
         with pytest.raises(ValidationError):
             CoincidenceCounters(n_emitted=1, pp=-1, pm=2)
 
+    def test_numpy_counts_are_stored_as_ints(self):
+        # 36 L U T^3 overflows int64 at these counts, which once gave std_error 1.2058.
+        cells = {"cross": (400000, 100000, 100000, 400000), "primed": (450000, 50000, 50000, 450000)}
+        as_ints = [CoincidenceCounters(sum(c), *c) for c in cells.values()]
+        as_numpy = [CoincidenceCounters(np.int64(sum(c)), *np.array(c)) for c in cells.values()]
+        assert all(type(n) is int for c in as_numpy for n in c._values())
+        assert as_numpy == as_ints
+        estimated = evaluate_symmetric_detection(*as_numpy)
+        assert estimated == evaluate_symmetric_detection(*as_ints)
+        assert estimated.std_error == pytest.approx(0.002474, abs=1e-6)
+
+    @pytest.mark.parametrize("count", [1.5, 1.0, np.float64(1.0), "1"])
+    def test_non_integer_count_is_rejected_by_name(self, count):
+        with pytest.raises(ValidationError, match="pm must be an integer"):
+            CoincidenceCounters(2, 1, count)
+
     def test_singles_rollups(self):
         counters = CoincidenceCounters(
             n_emitted=45, pp=1, pm=2, mp=3, mm=4, pz=5, zp=6, mz=7, zm=8, zz=9
@@ -419,6 +435,17 @@ class TestDumps:
         assert len(lines) == 1 + 4 * 9
         assert lines[1].startswith("ab,pp,")
         assert lines[9].startswith("ab,00,")
+
+    def test_manifest_echoes_a_numpy_geometry_as_floats(self):
+        counters = {label: point_mass_counters(10) for label in mc.PAIR_LABELS}
+
+        def manifest(*geometry):
+            source = qm.RealSource(qm.CascadeGeometry(*geometry))
+            return run_manifest(RunPlan(QUAD, 10, 0, source), counters)
+
+        text = manifest(0.2, 30.0, 1.0)
+        assert manifest(np.float64(0.2), np.float64(30.0), np.float64(1.0)) == text
+        assert "source=qm-real eta=0.2 phi_deg=30.0 f_override=1.0\n" in text
 
     def test_manifest_stability(self):
         plan = real_plan(50_000, seed=41)

@@ -2,8 +2,8 @@
 
 Replays the cli-startup workload, plus one scan with and one without a
 surface file, and one mc command shaped like the mc-scan workload's, through
-perfbench's traced in-process replay, so
-that removing or renaming what perfbench/workloads.py or perfbench/tracing.py
+perfbench's traced in-process replay, and runs its traced bootstrap probe,
+so that removing or renaming what perfbench/workloads.py or perfbench/tracing.py
 calls fails here as well as in the benchmark.
 """
 
@@ -89,3 +89,12 @@ def test_traced_replay_of_an_mc_command_matches_the_library(tmp_path):
     names = {span.name: span for span in tracer.spans}
     assert names["montecarlo.run_experiment"].note == 2
     assert "montecarlo.evaluate_symmetric_detection" in names
+
+
+def test_bootstrap_probe_reads_its_resamples():
+    # tracing.bootstrap_metrics divides by the estimator spans under each
+    # bootstrap, so a bootstrap that stopped calling the estimator fails here
+    # with ZeroDivisionError, not only in the benchmark's traced run.
+    metrics = tracing.bootstrap_metrics(tracing.Tracer(), 1)
+    assert 0.0 < metrics["montecarlo.bootstrap_useful_ratio"] <= 1.0
+    assert metrics["montecarlo.bootstrap_s"] > 0.0

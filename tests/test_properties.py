@@ -333,16 +333,46 @@ def test_std_error_is_the_exact_first_order_error_within_one_ulp(cross, primed):
         assert abs(Decimal(std_error) - exact) <= Decimal(math.ulp(float(exact)))
 
 
+def _like_unlike_total(c):
+    like, unlike = c.pp + c.mm, c.pm + c.mp
+    return like, unlike, like + unlike
+
+
+@settings(max_examples=500, deadline=None)
+@given(cross=counters, primed=counters)
+# 11/3: three separately rounded terms summed to 3.666666666666667.
+@example(cross=_coincidences(0, 0, 0, 1), primed=_coincidences(2, 0, 1))
+@example(
+    cross=_coincidences(*(3 * MAX_PAIRS_PER_SETTING,) * 4),
+    primed=_coincidences(3 * MAX_PAIRS_PER_SETTING, 1, 1, 3 * MAX_PAIRS_PER_SETTING - 1),
+)
+def test_mc_lhs_is_the_exact_fraction_rounded_once(cross, primed):
+    like_c, unlike_c, total_c = _like_unlike_total(cross)
+    like_p, unlike_p, total_p = _like_unlike_total(primed)
+    numerator = 3 * (like_c - unlike_c) * total_p - (like_p - unlike_p) * total_c + total_c * total_p
+    exact = Fraction(numerator, total_c * total_p)
+    # The same value as the ratio form 3 E/T - 2 L/T + 2, the singles counting as 2.
+    assert exact == Fraction(3 * (like_c - unlike_c), total_c) - Fraction(2 * like_p, total_p) + 2
+    assert evaluate_symmetric_detection(cross, primed).report.lhs == float(exact)
+
+
 @settings(max_examples=500, deadline=None)
 @given(cross=counters, primed=counters)
 @example(cross=_coincidences(0, 0, 0, 1), primed=_coincidences(2, 0, 1))
-def test_mc_lhs_is_one_fsum_of_the_count_ratios(cross, primed):
-    # The cross fraction, the primed like fraction and the singles' constant 2.
-    like_c, unlike_c = cross.pp + cross.mm, cross.pm + cross.mp
-    like_p, unlike_p = primed.pp + primed.mm, primed.pm + primed.mp
-    total_c, total_p = like_c + unlike_c, like_p + unlike_p
-    expected = math.fsum((3.0 * ((like_c - unlike_c) / total_c), -2.0 * (like_p / total_p), 2.0))
-    assert evaluate_symmetric_detection(cross, primed).report.lhs == expected
+def test_mc_lhs_agrees_with_the_symmetric_evaluator(cross, primed):
+    # Both state CHSH + 1 with exact value x = 3 r - 2 q + 2, r = E/T in [-1, 1]
+    # and q = L/T in [0, 1], so |x| <= 5. With u = 2**-53, the evaluator rounds r
+    # and q (|error| <= u each), then 3.0 * r (<= 3u more, 6u in all; -2.0 * q is
+    # exact, 2u), then its fsum (<= 5u): within 13u of x, plus u**2 terms. The
+    # estimator rounds x once (<= 5u). So they differ by at most 18u < 20u.
+    like_c, unlike_c, total_c = _like_unlike_total(cross)
+    _, _, total_p = _like_unlike_total(primed)
+    singles = (primed.pp + primed.pm + primed.pz, primed.mp + primed.mm + primed.mz)
+    evaluator = detection_inequality_symmetric(
+        like_c - unlike_c, total_c, primed.pp, primed.mm, total_p, *singles, sum(singles)
+    ).lhs
+    lhs = evaluate_symmetric_detection(cross, primed).report.lhs
+    assert abs(lhs - evaluator) <= 20 * 2.0**-53
 
 
 def _numpy_plane_argmin(scale, offset, step):
