@@ -284,7 +284,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         refine_rounds=args.rounds,
     )
     if args.surface is not None:
-        optimizer.write_surface(args.surface, *optimizer.lhs_planes(args.ineq, source, args.step))
+        optimizer.write_surface(args.surface, args.ineq, source, args.step)
 
     best = {"best_lhs": result.best_lhs, "best_factor": result.best_factor}
     if args.format == "csv":

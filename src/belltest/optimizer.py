@@ -13,18 +13,15 @@ the rows (values of b) whose exact lower bound can still beat the
 incumbent: 1 to 4 of the n rows over 1,500 random steps and fringe
 factors. A derivative-free coordinate refinement then halves the step
 around the incumbent in (b, a'), re-scoring candidates with the exact
-scalar evaluator so both computation paths stay honest. lhs_planes
-streams the full n^3 grid, one a-plane at a time, from the same axis and
-cells, and write_surface writes it as the CSV of scan --surface.
+scalar evaluator so both computation paths stay honest. write_surface
+builds the full n^3 grid, one a-plane at a time, from the same axis and
+rows, and writes it as the CSV of scan --surface.
 """
 
 from __future__ import annotations
 
 import math
-import struct
-from array import array
 from itertools import product
-from typing import Iterable, Iterator
 
 from . import qm
 from .core import Record, ValidationError, cos_double_angle, require_in_range
@@ -33,7 +30,6 @@ from .inequalities import (  # noqa: F401 - the scan limits are re-exported
     MAX_AXIS_POINTS,
     MAX_REFINE_ROUNDS,
     MAX_STEP_DEG,
-    MAX_SURFACE_AXIS_POINTS,
     MIN_STEP_DEG,
     MIN_SURFACE_STEP_DEG,
     Form,
@@ -43,7 +39,7 @@ from .inequalities import (  # noqa: F401 - the scan limits are re-exported
 
 
 class ScanResult(Record):
-    """Best quad found by a scan; lhs_planes gives the grid samples.
+    """Best quad found by a scan; write_surface writes the grid samples.
 
     surface is always None. perfbench/tracing.py reads it from every
     grid_scan, so it stays until the tracer stops wrapping grid_scan.
@@ -86,75 +82,58 @@ def _plane_row(scale: float, offset: float, first: float, a_row: list[float],
     return [scale * (first + cell + fringe) + offset for cell, fringe in zip(a_row, row)]
 
 
-def lhs_planes(
+class _ReprOnce(dict):
+    """lhs -> its repr and a newline, made on first use."""
+
+    def __missing__(self, value: float) -> str:
+        text = self[value] = repr(value) + "\n"
+        return text
+
+
+def write_surface(
+    path: str,
     inequality: str,
     source: qm.IdealSource | qm.RealSource,
     step_deg: float,
-) -> tuple[list[float], Iterator[array]]:
-    """Grid axis values and the lhs over the full (a, b, a') grid.
+) -> None:
+    """Write the lhs over the (a, b, a') grid to path as CSV rows a,b,a_prime,b_prime,lhs.
 
-    The axis holds [0, 180) at step_deg, at least MIN_SURFACE_STEP_DEG.
-    The planes, one per a value in axis order, are row-major array('d')s
-    over (b, a') with b' = a', each built when it is asked for, so memory
-    stays O(n^2).
+    The axis holds [0, 180) at step_deg, from MIN_SURFACE_STEP_DEG (256
+    values) to MAX_STEP_DEG; the form and the step are checked before path
+    is opened. Rows run over a in axis order, then (b, a') row-major, with
+    b' = a'. Each a-plane is built when it is written, so memory stays
+    O(n^2). Every number prints as its repr, and each distinct lhs is
+    formatted once; the texts are forgotten once they outnumber a plane's
+    cells. Float keys are exact because every lhs is scale * (...) + offset
+    with Form.plane's scale >= 0 and offset 0.0 or 1 - F >= +0.0: no lhs is
+    -0.0 (which would share 0.0's key) or NaN.
     """
     scale, offset = _scan_form(inequality, source).plane(source)
     require_in_range("step_deg", step_deg, MIN_SURFACE_STEP_DEG, MAX_STEP_DEG)
     axis = _axis(float(step_deg))
-
-    def planes() -> Iterator[array]:
-        fringes = [_fringes(x, axis) for x in axis]
-        for a_row in fringes:
-            plane = array("d")
-            for first, row in zip(a_row, fringes):
-                plane.fromlist(_plane_row(scale, offset, first, a_row, row))
-            yield plane
-
-    return axis, planes()
-
-
-class _ReprByBits(dict):
-    """float64 bit pattern -> the value's repr and a newline (a float key would merge -0.0, 0.0)."""
-
-    def __missing__(self, bits: int) -> str:
-        text = self[bits] = repr(struct.unpack("d", struct.pack("q", bits))[0]) + "\n"
-        return text
-
-
-def write_surface(path: str, axes: Iterable[float], planes: Iterable[array]) -> None:
-    """Write lhs_planes' grid to path as CSV rows a,b,a_prime,b_prime,lhs.
-
-    Rows follow the planes (C-contiguous float64 buffers): a in axis order,
-    then (b, a') row-major, with b' = a'. Every number prints as its repr,
-    and each lhs text is made once per bit pattern; the patterns are
-    forgotten once they outnumber a plane's cells, so memory stays O(n^2).
-    An axis of more than MAX_SURFACE_AXIS_POINTS values raises
-    ValidationError before path is opened.
-    """
-    labels = [repr(float(value)) for value in axes]
-    if len(labels) > MAX_SURFACE_AXIS_POINTS:
-        raise ValidationError(
-            f"a surface axis holds at most {MAX_SURFACE_AXIS_POINTS} values "
-            f"({MAX_SURFACE_AXIS_POINTS}^3 rows), got {len(labels)}"
-        )
+    fringes = [_fringes(x, axis) for x in axis]
+    labels = [repr(x) for x in axis]
     cells = [f",{b},{ap},{ap}," for b in labels for ap in labels]
     parts = [""] * (3 * len(cells))  # a, ",b,a',a',", lhs per row
     parts[1::3] = cells
-    texts = _ReprByBits()
+    texts = _ReprOnce()
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("a,b,a_prime,b_prime,lhs\n")
-        for a, plane in zip(labels, planes):
+        for a, a_row in zip(labels, fringes):
             if len(texts) > len(cells):
                 texts.clear()
+            plane: list[float] = []
+            for first, row in zip(a_row, fringes):
+                plane += _plane_row(scale, offset, first, a_row, row)
             parts[0::3] = [a] * len(cells)
-            parts[2::3] = map(texts.__getitem__, memoryview(plane).cast("B").cast("q").tolist())
+            parts[2::3] = map(texts.__getitem__, plane)
             handle.write("".join(parts))
 
 
 def _coarse_optimum(scale: float, offset: float, step_deg: float) -> tuple[float, float]:
     """(b, a') of the first minimum of the a = 0 plane of the scan grid.
 
-    The plane is the one lhs_planes yields first, from the same _axis and
+    The plane is the one write_surface writes first, from the same _axis and
     _plane_row, with b = x_j at row j and a' = b' = x_k at column k. Ties
     go to the first cell in row-major order, as with np.argmin. scale must
     be >= 0, as every Form.plane's is.
@@ -199,7 +178,7 @@ def grid_scan(
 
     Rotating all axes together leaves every form unchanged, so the scan
     holds a = 0 and searches (b, a') with b' = a'. The coarse phase finds
-    the first minimum of the a = 0 plane of lhs_planes' grid over [0, 180)
+    the first minimum of the a = 0 plane of write_surface's grid over [0, 180)
     at step_deg, scoring only the rows that a lower bound cannot rule out
     (see _coarse_optimum); when 180 / step_deg is an integer that plane
     holds the optimum of the whole (a, b, a') grid. refine_rounds rounds

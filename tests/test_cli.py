@@ -22,7 +22,7 @@ from belltest.inequalities import (
     ternary_inequality,
     ternary_inequality_symmetric,
 )
-from test_optimizer import surface_reference
+from test_optimizer import _numpy_planes, surface_reference
 
 
 def run_cli(capsys, argv):
@@ -400,8 +400,9 @@ class TestScan:
             qm.IdealSource() if argv[1] == "ternary"
             else qm.RealSource(qm.CascadeGeometry(eta=0.3, phi_deg=40.0))
         )
-        axes, planes = optimizer.lhs_planes(argv[1], source, 22.5)
-        assert surface.read_bytes() == surface_reference(np.asarray(axes).tolist(), planes)
+        axes = np.arange(0.0, 180.0, 22.5).tolist()
+        planes = _numpy_planes(*FORMS[argv[1]].plane(source), 22.5)
+        assert surface.read_bytes() == surface_reference(axes, planes)
 
     def test_detection_scan(self, capsys):
         payload = run_json(capsys, [

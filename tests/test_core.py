@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -302,11 +303,21 @@ IDEAL = qm.IdealSource()
 NAN = math.nan
 PAIRS = "[1, 1099511627776]"
 STEP = "[0.703125, 45.0]"
+MISSING_SURFACE = str(Path(__file__).parent / "no-such-directory" / "surface.csv")
+
+
+def _surface_into_missing_directory(step):
+    """write_surface into a missing directory: once every check has passed,
+    open raises FileNotFoundError, so an accepted step writes no surface
+    (at MIN_SURFACE_STEP_DEG it would be 256^3 rows, about 958 MB)."""
+    with pytest.raises(FileNotFoundError):
+        optimizer.write_surface(MISSING_SURFACE, "ternary", IDEAL, step)
+
 
 RANGE_SITES = {
     "chunk_counts": montecarlo.chunk_counts,
     "RunPlan": lambda n: montecarlo.RunPlan(QUAD, n, 0, IDEAL),
-    "lhs_planes": lambda step: optimizer.lhs_planes("ternary", IDEAL, step),
+    "write_surface": _surface_into_missing_directory,
     "grid_scan": lambda rounds: optimizer.grid_scan("ternary", IDEAL, 45.0, rounds),
     "eta": lambda eta: qm.CascadeGeometry(eta, 30.0),
     "phi_deg": lambda phi: qm.CascadeGeometry(0.5, phi),
@@ -329,10 +340,10 @@ class TestRangeRule:
         ("RunPlan", 0, f"pairs_per_setting must be in {PAIRS}, got 0"),
         ("RunPlan", 2**40 + 1, f"pairs_per_setting must be in {PAIRS}, got 1099511627777"),
         ("RunPlan", NAN, f"pairs_per_setting must be in {PAIRS}, got nan"),
-        ("lhs_planes", _below(optimizer.MIN_SURFACE_STEP_DEG),
+        ("write_surface", _below(optimizer.MIN_SURFACE_STEP_DEG),
          f"step_deg must be in {STEP}, got 0.7031249999999999"),
-        ("lhs_planes", _above(45.0), f"step_deg must be in {STEP}, got 45.00000000000001"),
-        ("lhs_planes", NAN, f"step_deg must be in {STEP}, got nan"),
+        ("write_surface", _above(45.0), f"step_deg must be in {STEP}, got 45.00000000000001"),
+        ("write_surface", NAN, f"step_deg must be in {STEP}, got nan"),
         ("grid_scan", -1, "refine_rounds must be in [0, 64], got -1"),
         ("grid_scan", 65, "refine_rounds must be in [0, 64], got 65"),
         ("grid_scan", NAN, "refine_rounds must be in [0, 64], got nan"),
@@ -367,8 +378,8 @@ class TestRangeRule:
         ("chunk_counts", 1),
         ("RunPlan", 1),
         ("RunPlan", 2**40),
-        ("lhs_planes", optimizer.MIN_SURFACE_STEP_DEG),
-        ("lhs_planes", 45.0),
+        ("write_surface", optimizer.MIN_SURFACE_STEP_DEG),
+        ("write_surface", 45.0),
         ("grid_scan", 0),
         ("grid_scan", 64),
         ("eta", 1.0),
@@ -384,11 +395,11 @@ class TestRangeRule:
 
     def test_numpy_scalar_prints_as_plain_number(self):
         with pytest.raises(ValidationError, match=r"got 60\.0$"):
-            optimizer.lhs_planes("ternary", IDEAL, np.float64(60.0))
+            _surface_into_missing_directory(np.float64(60.0))
 
     def test_checks_keep_their_order(self):
         with pytest.raises(ValidationError, match="cannot scan inequality"):
-            optimizer.lhs_planes("chsh", IDEAL, NAN)
+            optimizer.write_surface(MISSING_SURFACE, "chsh", IDEAL, NAN)
         with pytest.raises(ValidationError, match="step_deg"):
             optimizer.grid_scan("ternary", IDEAL, NAN, NAN)
 

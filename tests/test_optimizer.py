@@ -1,3 +1,4 @@
+import math
 from itertools import product
 
 import numpy as np
@@ -15,20 +16,17 @@ REAL = qm.RealSource(qm.CascadeGeometry(eta=0.3, phi_deg=41.7))
 TARGET_DIFFS = (120.0, 120.0, 120.0, 0.0)
 
 
-def _surface(inequality, source, step):
-    """Every (a, b, a', b', lhs) sample of the scan grid, planes in order."""
-    axes, planes = optimizer.lhs_planes(inequality, source, step)
-    values = np.asarray(axes).tolist()
-    return [
-        (a, b, ap, ap, lhs)
-        for a, plane in zip(values, planes)
-        for (b, ap), lhs in zip(product(values, repeat=2), np.asarray(plane).tolist())
-    ]
+def _surface(path, inequality, source, step):
+    """Every (a, b, a', b', lhs) row of the surface write_surface writes, in order."""
+    optimizer.write_surface(str(path), inequality, source, step)
+    with open(path, encoding="utf-8") as handle:
+        next(handle)
+        return [tuple(map(float, line.split(","))) for line in handle]
 
 
 def _numpy_planes(scale, offset, step):
     """The a-planes of the scan grid by numpy broadcasting, each indexed (b, a'):
-    an independent reference for lhs_planes. Its fringes are cos_double_angle
+    an independent reference for write_surface. Its fringes are cos_double_angle
     of numpy's axis differences, so it checks indexing and summation order, not
     whether a numpy build's cosine matches math.cos."""
     axes = np.arange(0.0, 180.0, step)
@@ -102,35 +100,18 @@ class TestGridScan:
 
     @pytest.mark.parametrize("step", [45.0, 22.5, 15.0, 9.0, 5.0])
     @pytest.mark.parametrize("inequality,source", [("ternary", IDEAL), ("detection", REAL_F1)])
-    def test_coarse_plane_matches_full_grid(self, step, inequality, source):
-        # Brute force: the first minimum over all n^3 points, planes in order.
-        axes, planes = optimizer.lhs_planes(inequality, source, step)
-        axes = np.asarray(axes)
-        best_value, best_axes = np.inf, None
-        for a, plane in zip(axes, planes):
-            plane = np.asarray(plane).reshape(axes.size, axes.size)
-            j, k = divmod(int(np.argmin(plane)), axes.size)
-            if plane[j, k] < best_value:
-                best_value, best_axes = plane[j, k], (a, axes[j], axes[k])
-        a, b, ap = (float(x) for x in best_axes)
-        expected = SettingsQuad.of(a, b, ap, ap)
+    def test_coarse_plane_matches_full_grid(self, tmp_path, step, inequality, source):
+        # Brute force: the first minimum over all n^3 rows of the written surface.
+        rows = _surface(tmp_path / "surface.csv", inequality, source, step)
+        a, b, ap, bp, _ = min(rows, key=lambda row: row[4])
+        expected = SettingsQuad.of(a, b, ap, bp)
         result = grid_scan(inequality, source, step_deg=step, refine_rounds=0)
         assert result.best_quad == expected
         assert result.best_lhs == objective(expected, inequality, source)
 
-    # Finer and coarser than the steps whose surface digests are pinned.
-    @pytest.mark.parametrize("step", [45.0, 1.40625])
-    @pytest.mark.parametrize("inequality,source", [("ternary", IDEAL), ("detection", REAL)])
-    def test_planes_match_numpy_reference_bit_for_bit(self, step, inequality, source):
-        axes, planes = optimizer.lhs_planes(inequality, source, step)
-        assert axes == np.arange(0.0, 180.0, step).tolist()
-        reference = _numpy_planes(*FORMS[inequality].plane(source), step)
-        for plane, expected in zip(planes, reference, strict=True):
-            assert plane.tobytes() == expected.tobytes()
-
-    def test_coarse_scan_minimum_dominates_surface(self):
+    def test_coarse_scan_minimum_dominates_surface(self, tmp_path):
         result = grid_scan("ternary", IDEAL, step_deg=45.0, refine_rounds=0)
-        surface = _surface("ternary", IDEAL, 45.0)
+        surface = _surface(tmp_path / "surface.csv", "ternary", IDEAL, 45.0)
         assert surface
         assert len(surface) == 4 ** 3
         for *_, lhs in surface:
@@ -141,13 +122,14 @@ class TestGridScan:
         second = grid_scan("ternary", IDEAL, step_deg=15.0, refine_rounds=3)
         assert first == second
 
-    def test_surface_matches_scalar_objective(self):
-        for a, b, ap, bp, lhs in _surface("ternary", IDEAL, 22.5):
+    def test_surface_matches_scalar_objective(self, tmp_path):
+        for a, b, ap, bp, lhs in _surface(tmp_path / "surface.csv", "ternary", IDEAL, 22.5):
             scalar = objective(SettingsQuad.of(a, b, ap, bp), "ternary", IDEAL)
             assert lhs == pytest.approx(scalar, abs=1e-12)
 
-    def test_detection_surface_matches_scalar_objective(self):
-        for a, b, ap, bp, lhs in _surface("detection", REAL_F1, 22.5):
+    def test_detection_surface_matches_scalar_objective(self, tmp_path):
+        surface = _surface(tmp_path / "surface.csv", "detection", REAL_F1, 22.5)
+        for a, b, ap, bp, lhs in surface:
             scalar = objective(SettingsQuad.of(a, b, ap, bp), "detection", REAL_F1)
             assert lhs == pytest.approx(scalar, abs=1e-12)
 
@@ -220,9 +202,11 @@ class TestUnscannedFormsRefused:
         with pytest.raises(ValidationError, match="cannot scan"):
             objective(SettingsQuad.of(0, 120, 60, 60), name, self.source(name))
 
-    def test_lhs_planes(self, name):
+    def test_write_surface(self, tmp_path, name):
+        path = tmp_path / "surface.csv"
         with pytest.raises(ValidationError, match="cannot scan"):
-            optimizer.lhs_planes(name, self.source(name), 45.0)
+            optimizer.write_surface(str(path), name, self.source(name), 45.0)
+        assert not path.exists()
 
     def test_grid_scan(self, name):
         with pytest.raises(ValidationError, match="cannot scan"):
@@ -251,79 +235,65 @@ def surface_reference(axes, planes):
 
 
 class TestWriteSurface:
-    """optimizer.write_surface on synthetic planes, against per-value repr."""
+    """optimizer.write_surface against the numpy planes formatted by per-value repr."""
 
     @staticmethod
-    def write(tmp_path, axes, planes):
+    def write(tmp_path, inequality, source, step):
         path = tmp_path / "surface.csv"
-        optimizer.write_surface(str(path), axes, iter(planes))
+        optimizer.write_surface(str(path), inequality, source, step)
         return path.read_bytes()
 
-    def test_signed_zeros_and_special_values(self, tmp_path):
-        # 0.0 and -0.0 share a plane (and compare equal); both recur in the
-        # second plane; 5e-324 is the smallest subnormal
-        planes = [
-            np.array([[0.0, -0.0], [5e-324, 1e16]]),
-            np.array([[-1.5, 0.1 + 0.2], [-0.0, 0.0]]),
-        ]
-        expected = (
-            b"a,b,a_prime,b_prime,lhs\n"
-            b"0.0,0.0,0.0,0.0,0.0\n"
-            b"0.0,0.0,90.0,90.0,-0.0\n"
-            b"0.0,90.0,0.0,0.0,5e-324\n"
-            b"0.0,90.0,90.0,90.0,1e+16\n"
-            b"90.0,0.0,0.0,0.0,-1.5\n"
-            b"90.0,0.0,90.0,90.0,0.30000000000000004\n"
-            b"90.0,90.0,0.0,0.0,-0.0\n"
-            b"90.0,90.0,90.0,90.0,0.0\n"
+    @staticmethod
+    def reference(inequality, source, step):
+        axes = np.arange(0.0, 180.0, step).tolist()
+        return surface_reference(axes, _numpy_planes(*FORMS[inequality].plane(source), step))
+
+    # Exact steps: the coarsest, and a 64-value axis (262,144 rows).
+    @pytest.mark.parametrize("step", [45.0, 2.8125])
+    @pytest.mark.parametrize("inequality,source", [("ternary", IDEAL), ("detection", REAL)])
+    def test_bytes_match_numpy_reference(self, tmp_path, step, inequality, source):
+        expected = self.reference(inequality, source, step)
+        assert self.write(tmp_path, inequality, source, step) == expected
+
+    # Steps at which some axis differences round, so that the planes'
+    # fringes are not shifted copies of one another.
+    @pytest.mark.parametrize("step", [7.3, 13.7])
+    @pytest.mark.parametrize("inequality,source", [("ternary", IDEAL), ("detection", REAL)])
+    def test_bytes_match_numpy_reference_where_differences_round(
+        self, tmp_path, step, inequality, source
+    ):
+        axes = np.arange(0.0, 180.0, step).tolist()
+        assert any(
+            axes[j] - axes[k] != axes[j - k] for j in range(len(axes)) for k in range(j)
         )
-        assert surface_reference([0.0, 90.0], planes) == expected
-        assert self.write(tmp_path, [0.0, 90.0], planes) == expected
+        expected = self.reference(inequality, source, step)
+        assert self.write(tmp_path, inequality, source, step) == expected
 
-    def test_one_by_one_grid(self, tmp_path):
-        expected = b"a,b,a_prime,b_prime,lhs\n45.0,45.0,45.0,45.0,-0.0\n"
-        assert self.write(tmp_path, [45.0], [np.array([[-0.0]])]) == expected
-
-    def test_axis_over_the_surface_budget_writes_nothing(self, tmp_path):
-        # 257 values would be 257^3 rows; the planes are never asked for
-        axis = [float(i) for i in range(optimizer.MAX_SURFACE_AXIS_POINTS + 1)]
-
-        def planes():
-            raise AssertionError("a plane was drawn")
-            yield
-
+    def test_no_file_below_the_surface_step(self, tmp_path):
+        # 180 / the step would exceed 256 axis values; refused before open
         path = tmp_path / "surface.csv"
-        with pytest.raises(ValidationError, match="at most 256 values .* got 257"):
-            optimizer.write_surface(str(path), axis, planes())
+        step = math.nextafter(optimizer.MIN_SURFACE_STEP_DEG, 0.0)
+        with pytest.raises(ValidationError, match="step_deg"):
+            optimizer.write_surface(str(path), "ternary", IDEAL, step)
         assert not path.exists()
 
-    def test_values_shared_and_unshared_across_planes(self, tmp_path):
-        # more distinct values over the planes than one plane has cells
-        pool = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16,
-                         -1.5, 0.1 + 0.2, 1.0 / 3.0, -1e-300, 1.0, -1.0])
-        rng = np.random.default_rng(8)
-        axes = [0.0, 60.0, 120.0]
-        planes = [rng.choice(pool, size=(3, 3)) for _ in axes]
-        planes[2][0, :2] = [-0.0, 0.0]  # signed zeros side by side
-        assert len({value.tobytes() for plane in planes for value in plane.ravel()}) > 9
-        assert self.write(tmp_path, axes, planes) == surface_reference(axes, planes)
-
-    def test_pattern_cache_holds_at_most_two_planes(self, tmp_path, monkeypatch):
-        # each of the three planes has 9 patterns of its own: the cache is
-        # cleared before a plane once it holds more than a plane's 9 cells
+    def test_text_cache_holds_at_most_two_planes(self, tmp_path, monkeypatch):
+        # At a step whose differences round, the planes share few values, so
+        # the texts outnumber one plane's cells and the cache is cleared
         sizes = []
-        missing = optimizer._ReprByBits.__missing__
+        missing = optimizer._ReprOnce.__missing__
 
-        def recording(texts, bits):
+        def recording(texts, value):
             sizes.append(len(texts))
-            return missing(texts, bits)
+            return missing(texts, value)
 
-        monkeypatch.setattr(optimizer._ReprByBits, "__missing__", recording)
-        axes = [0.0, 60.0, 120.0]
-        planes = list(np.arange(27.0).reshape(3, 3, 3) + 0.5)
-        assert self.write(tmp_path, axes, planes) == surface_reference(axes, planes)
-        assert len(sizes) == 27
-        assert max(sizes) < 2 * 9
+        monkeypatch.setattr(optimizer._ReprOnce, "__missing__", recording)
+        cells = len(np.arange(0.0, 180.0, 13.7)) ** 2
+        expected = self.reference("detection", REAL, 13.7)
+        assert self.write(tmp_path, "detection", REAL, 13.7) == expected
+        assert len(sizes) > cells
+        assert any(after < before for before, after in zip(sizes, sizes[1:]))
+        assert max(sizes) < 2 * cells
 
 
 class TestCoarseOptimum:

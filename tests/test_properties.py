@@ -409,13 +409,27 @@ def test_coarse_optimum_is_numpys_first_argmin_of_the_plane(step, f):
 
 
 @settings(max_examples=100, deadline=None)
-@given(geom=geometries)
-def test_scan_planes_never_scale_below_zero(geom):
-    # _coarse_optimum's row bound holds only for scale >= 0.
+@given(
+    eta=st.one_of(st.just(1.0), st.floats(min_value=0.0, max_value=1.0, exclude_min=True)),
+    phi=st.one_of(st.just(90.0), st.floats(min_value=0.0, max_value=90.0, exclude_min=True)),
+    f_override=st.one_of(
+        st.none(), st.sampled_from((0.0, 1.0)), st.floats(min_value=0.0, max_value=1.0)
+    ),
+)
+@example(eta=1.0, phi=90.0, f_override=1.0)
+@example(eta=1.0, phi=90.0, f_override=0.0)
+@example(eta=0.5, phi=5e-324, f_override=None)
+def test_scan_planes_keep_the_lhs_off_minus_zero(eta, phi, f_override):
+    # _coarse_optimum's row bound holds only for scale >= 0. write_surface
+    # keys its lhs texts by float, where -0.0 and 0.0 share a key; with
+    # scale >= 0 and offset +0.0 or above, scale * (...) + offset is never -0.0.
+    geom = qm.CascadeGeometry(eta, phi, f_override)
     for name in optimizer.INEQUALITIES:
         form = FORMS[name]
         source = qm.IdealSource() if form.source is qm.IdealSource else qm.RealSource(geom)
-        assert form.plane(source)[0] >= 0.0
+        scale, offset = form.plane(source)
+        assert scale >= 0.0
+        assert math.copysign(1.0, offset) == 1.0
 
 
 # Command-line robustness: argvs that mix every subcommand's flags with

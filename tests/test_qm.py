@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -46,6 +47,48 @@ class TestGeometryFormulas:
         assert depolarization_factor(90.0) == pytest.approx(1.0 / 3.0, rel=1e-15)
         with pytest.raises(ValidationError):
             depolarization_factor(-5.0)
+
+
+def _cone_directions(phi_deg):
+    """Quadrature over the cone of half-aperture phi_deg about +z: unit
+    directions and weights summing to 1. 8 Gauss-Legendre nodes in cos(theta)
+    times 8 azimuths average every polynomial of degree 2 in the direction
+    exactly, since the solid angle is uniform in cos(theta) and azimuth."""
+    c = math.cos(math.radians(phi_deg))
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    u = c + (1.0 - c) * (nodes + 1.0) / 2.0
+    alpha = 2.0 * np.pi * np.arange(8) / 8.0
+    u, alpha = np.meshgrid(u, alpha, indexing="ij")
+    sin = np.sqrt(1.0 - u * u)
+    k = np.stack([sin * np.cos(alpha), sin * np.sin(alpha), u], axis=-1).reshape(-1, 3)
+    w = np.repeat(weights / 2.0 / 8.0, 8)
+    return k, w
+
+
+class TestAngularCorrelationDerivation:
+    """g(phi) = 1 + c^2 (1 + c)^2 / 8, c = cos phi, derived a second way: the
+    0 -> 1 -> 0 cascade's pair rate goes as 1 + (k1 . k2)^2, whose mean over
+    all directions is 4/3. Over back-to-back cones, with A = <k_z^2> =
+    (1 + c + c^2) / 3 and B = <k_x^2> = <k_y^2> = (1 - c)(2 + c) / 6, the cone
+    mean is 1 + A^2 + 2 B^2, so g = 3/4 (1 + A^2 + 2 B^2)."""
+
+    PHIS = [1e-6, 5.0, 30.0, 37.0, 45.0, 60.0, 63.1, 89.9, 90.0]
+
+    @pytest.mark.parametrize("phi", PHIS)
+    def test_closed_form_is_the_cone_moment_identity(self, phi):
+        c = Fraction(math.cos(math.radians(phi)))
+        a = (1 + c + c * c) / 3
+        b = (1 - c) * (2 + c) / 6
+        exact = 1 + c * c * (1 + c) ** 2 / 8
+        assert Fraction(3, 4) * (1 + a * a + 2 * b * b) == exact
+        assert abs(angular_correlation(phi) - float(exact)) <= 2 * math.ulp(float(exact))
+
+    @pytest.mark.parametrize("phi", [5.0, 37.0, 60.0, 90.0])
+    def test_closed_form_matches_cone_quadrature(self, phi):
+        k1, w1 = _cone_directions(phi)
+        k2, w2 = -k1, w1  # the second cone points the opposite way
+        mean = w1 @ (1.0 + (k1 @ k2.T) ** 2) @ w2
+        assert abs(mean / (4.0 / 3.0) - angular_correlation(phi)) <= 1e-12
 
 
 class TestCascadeGeometry:
