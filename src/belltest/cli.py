@@ -36,7 +36,6 @@ from .inequalities import (
     MAX_SURFACE_AXIS_POINTS,
     MIN_STEP_DEG,
     MIN_SURFACE_STEP_DEG,
-    InequalityReport,
     SettingsQuad,
     form_for,
     quad_from_differences,
@@ -78,12 +77,6 @@ def _print_report_csv(fields: dict[str, Any]) -> None:
     )
     print(header)
     print(row)
-
-
-def _report_fields(report: InequalityReport) -> dict[str, Any]:
-    fields = report._asdict()
-    fields["violated"] = fields.pop("violated")  # printed last, after violation_factor
-    return fields
 
 
 def _emit(
@@ -196,7 +189,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         require_symmetric(quad, f"--ineq {args.ineq}")
     report = form.evaluate(quad, source)
     inputs = {"ineq": args.ineq, "source": args.source, "quad": _quad_echo(quad)}
-    _emit(args, source, _report_fields(report), inputs)
+    _emit(args, source, report._asdict(), inputs)
     return 0
 
 
@@ -245,7 +238,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
         with open(args.manifest, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(montecarlo.run_manifest(plan, counters))
 
-    fields = _report_fields(estimated.report)
+    fields = estimated.report._asdict()
     fields["std_error"] = estimated.std_error
     fields["sigma_distance"] = estimated.sigma_distance
     inputs: dict[str, Any] = {

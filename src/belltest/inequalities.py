@@ -89,8 +89,8 @@ class InequalityReport(Record):
     lhs: float
     bound: float
     margin: float
-    violated: bool
     violation_factor: float
+    violated: bool
 
 
 def _report(name: str, lhs: float, bound: float, sense: Literal["ge", "le"]) -> InequalityReport:
@@ -98,7 +98,7 @@ def _report(name: str, lhs: float, bound: float, sense: Literal["ge", "le"]) -> 
     ratio = lhs / bound if bound != 0.0 else 0.0
     # every field positional, so Record skips its keyword binding
     return InequalityReport(
-        name, lhs, bound, margin, margin < -VIOLATION_EPS, ratio if ratio > 1.0 else 1.0
+        name, lhs, bound, margin, ratio if ratio > 1.0 else 1.0, margin < -VIOLATION_EPS
     )
 
 

@@ -4,9 +4,9 @@ Each emitted pair lands in one of the nine outcome cells of an event
 distribution, so a run at fixed settings is a multinomial draw. Draws
 are split into fixed-size chunks whose generator seeds are derived by
 hashing (master seed, setting-pair index, chunk index); the chunk
-layout depends only on the plan, so the same plan produces bit
-identical counters at any worker count. Counters are plain sums,
-mergeable in any order.
+layout depends only on the plan. Counters are plain sums, so drawing a
+pair's chunk indices in any partition into spans, in any order, and
+merging the span counters gives the same counters as one run.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import ctypes
 import hashlib
 import math
 import operator
-from typing import TYPE_CHECKING, ClassVar, Iterator
+from typing import TYPE_CHECKING, ClassVar
 
 import numpy as np
 
@@ -241,10 +241,10 @@ def _chunk_seeds(pair_seed: int, start: int, stop: int) -> np.ndarray:
     return np.frombuffer(b"".join(digests), dtype="<u8")[::4]
 
 
-def _draw_chunks(
-    p: np.ndarray, pair_seed: int, first: int, sizes: tuple[int, ...]
-) -> Iterator[np.ndarray]:
-    """Cell counts of chunks first, first+1, ... with the given sizes.
+def _draw_chunks(p: np.ndarray, pair_seed: int, first: int, sizes: tuple[int, ...]) -> np.ndarray:
+    """Summed cell counts of chunks first, first+1, ... with the given sizes.
+
+    The int64 total is exact: a pair draws at most MAX_PAIRS_PER_SETTING emissions.
 
     Each chunk draws from the stream np.random.default_rng(derive_seed(
     pair_seed, idx)) would start. Its PCG64 (state, inc) is computed in
@@ -264,6 +264,7 @@ def _draw_chunks(
     # words, so the buffered uint32 (which .state would reset) stays empty.
     bit_generator.random_raw()
     generator = np.random.Generator(bit_generator)
+    total = np.zeros(len(CELL_NAMES), dtype=np.int64)
     for offset in range(0, len(sizes), _SEED_BLOCK):
         block = sizes[offset:offset + _SEED_BLOCK]
         start = first + offset
@@ -277,7 +278,8 @@ def _draw_chunks(
                 )
         for row, size in zip(range(0, len(states), 32), block):
             memory[:] = states[row:row + 32]
-            yield generator.multinomial(size, p)
+            total += generator.multinomial(size, p)
+    return total
 
 
 def _cell_probabilities(dist: PairProbabilities | CoincidenceCounters) -> np.ndarray:
@@ -289,7 +291,7 @@ def sample_chunk(
     dist: PairProbabilities, pair_seed: int, chunk_index: int, count: int
 ) -> np.ndarray:
     """Multinomial cell counts for one chunk, from its derived stream."""
-    return next(_draw_chunks(_cell_probabilities(dist), pair_seed, chunk_index, (count,)))
+    return _draw_chunks(_cell_probabilities(dist), pair_seed, chunk_index, (count,))
 
 
 def sample_pair_events(dist: PairProbabilities, n: int, seed: int) -> CoincidenceCounters:
@@ -297,13 +299,9 @@ def sample_pair_events(dist: PairProbabilities, n: int, seed: int) -> Coincidenc
 
     Chunks are drawn one after another in the calling thread: each chunk
     is interpreter-bound Python and numpy work, so threads would only
-    contend for the interpreter lock. Chunk counts are summed as they are
-    drawn, not kept (int64 sums are exact, so the order of addition
-    cannot change the counters).
+    contend for the interpreter lock.
     """
-    total = np.zeros(len(CELL_NAMES), dtype=np.int64)
-    for counts in _draw_chunks(_cell_probabilities(dist), seed, 0, chunk_counts(n)):
-        total += counts
+    total = _draw_chunks(_cell_probabilities(dist), seed, 0, chunk_counts(n))
     return CoincidenceCounters(n, *total.tolist())
 
 

@@ -6,6 +6,7 @@ reads as a checklist.
 """
 
 import math
+import random
 import time
 
 import numpy as np
@@ -270,14 +271,36 @@ def test_criterion_09_chsh_comparison():
             "F > 1/sqrt(2) at the free quad")
 
 
-def test_criterion_10_parallel_determinism():
+def test_criterion_10_parallel_determinism(monkeypatch):
     plan = mc.RunPlan(
         quad=CANONICAL_QUAD,
-        pairs_per_setting=2 * mc.CHUNK_EMISSIONS + 12345,
+        pairs_per_setting=7 * mc.CHUNK_EMISSIONS + 12345,
         seed=1234,
         source=qm.RealSource(GEOM_F1),
     )
     baseline = mc.run_experiment(plan, workers=1)
     for workers in (4, 16):
         assert mc.run_experiment(plan, workers=workers) == baseline
-    _passed(10, "counters are bit-identical at 1, 4, and 16 workers")
+    dist = mc.distribution_for(plan.source, plan.quad, "ab")
+    p = mc._cell_probabilities(dist)
+    pair_seed = mc.derive_seed(plan.seed, 0)
+    sizes = mc.chunk_counts(plan.pairs_per_setting)
+    # Seed blocks of two chunks, so spans starting at an odd index begin
+    # inside a block, and spans of three or more chunks cross one.
+    monkeypatch.setattr(mc, "_SEED_BLOCK", 2)
+    whole = mc.sample_pair_events(dist, plan.pairs_per_setting, pair_seed)
+    assert whole == baseline["ab"]
+    shuffle = random.Random(10).shuffle
+    for cuts in ((0, 1, 4, 5, 8), (0, 3, 6, 7, 8), (0, 2, 3, 7, 8)):
+        spans = list(zip(cuts, cuts[1:]))
+        shuffle(spans)
+        parts = (
+            mc.CoincidenceCounters(
+                sum(sizes[start:stop]),
+                *mc._draw_chunks(p, pair_seed, start, sizes[start:stop]).tolist(),
+            )
+            for start, stop in spans
+        )
+        assert mc.merge_counters(*parts) == whole
+    _passed(10, "counters are bit-identical in any partition and order of chunk spans, "
+            "and at 1, 4, and 16 workers")

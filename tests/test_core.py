@@ -407,7 +407,7 @@ class TestRangeRule:
 _QUAD = SettingsQuad(0.0, 120.0, 240.0, 240.0)
 _CASE = lhv.CaseBound(Outcome.PLUS, Outcome.MINUS, -1, -1)
 _ASSIGNMENT = lhv.DeterministicAssignment(Outcome.PLUS, Outcome.ZERO, Outcome.MINUS, Outcome.PLUS)
-_REPORT_ARGS = ("ternary", -1.5, -1.0, -0.5, True, 1.5)
+_REPORT_ARGS = ("ternary", -1.5, -1.0, -0.5, 1.5, True)
 _REPORT = inequalities.InequalityReport(*_REPORT_ARGS)
 
 RECORD_ARGS = {

@@ -167,6 +167,44 @@ class TestBellFunctional:
             assert bell_functional(s) == direct
 
 
+# The +-1 outcome each of four maps puts in place of outcome 0 on (a, a', b, b').
+ZERO_MAPS = ((1, 1, 1, 1), (1, -1, -1, -1), (-1, 1, -1, 1), (-1, -1, 1, -1))
+
+
+def pair_cell_incidence(s):
+    """1 for each of the 36 (setting pair, cell) slots the assignment lands in."""
+    return [
+        int((getattr(s, side1), getattr(s, side2)) == cell)
+        for side1, side2 in core.PAIRS.values()
+        for cell in core.CELL_OUTCOMES
+    ]
+
+
+class TestChshDecomposition:
+    """Second proof of the -1 bound: 4 (F + 1) = sum over the four maps of
+    (S + 2), with S = AB + AB' + A'B - A'B' of the mapped outcomes, and every
+    S of +-1 outcomes is at least -2."""
+
+    def test_functional_is_a_sum_of_chsh_values(self):
+        for s in enumerate_assignments():
+            outcomes = (int(s.a), int(s.a_prime), int(s.b), int(s.b_prime))
+            total = 0
+            for zero_map in ZERO_MAPS:
+                a, ap, b, bp = (o or filled for o, filled in zip(outcomes, zero_map))
+                chsh = a * b + a * bp + ap * b - ap * bp
+                assert chsh >= -2
+                total += chsh + 2
+            assert 4 * (bell_functional(s) + 1) == total, s
+
+    def test_minimizers_span_a_17_dimensional_face(self):
+        assignments = enumerate_assignments()
+        incidence = np.array([pair_cell_incidence(s) for s in assignments])
+        assert np.linalg.matrix_rank(incidence.T) == 25  # the 36 x 81 incidence matrix
+        tight = incidence[[bell_functional(s) == -1 for s in assignments]]
+        assert len(tight) == 18
+        assert np.linalg.matrix_rank(tight[1:] - tight[0]) == 17
+
+
 class TestVerifyTheorem:
     def test_minimum_is_exactly_minus_one(self):
         report = verify_theorem()

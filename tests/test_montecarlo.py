@@ -174,6 +174,17 @@ class TestSeedingMatchesNumpy:
             expected = np.random.default_rng(derive_seed(21, idx)).multinomial(500, p)
             assert sample_chunk(dist, 21, idx, 500).tolist() == expected.tolist()
 
+    def test_mid_stream_span_matches_fresh_generators(self):
+        # starts past chunk 0 and crosses a seed block, unlike a pair's own span
+        p = np.asarray(SOURCE_DISTS["qm-real"].cells(), dtype=np.float64)
+        p = p / p.sum()
+        first, count = 5, mc._SEED_BLOCK + 6
+        expected = sum(
+            np.random.default_rng(derive_seed(21, idx)).multinomial(10, p)
+            for idx in range(first, first + count)
+        )
+        assert mc._draw_chunks(p, 21, first, (10,) * count).tolist() == expected.tolist()
+
     def test_seeding_mismatch_raises(self, monkeypatch):
         monkeypatch.setattr(mc, "_PCG64_MULT", mc._PCG64_MULT + 2)
         with pytest.raises(BellTestError, match="numpy's seeding"):
@@ -197,15 +208,15 @@ class TestSeedingMatchesNumpy:
     ])
     def test_misordered_state_write_raises(self, monkeypatch, order):
         monkeypatch.setattr(mc, "_word_order", lambda memory, seeded: list(order))
-        chunks = mc._draw_chunks(mc._cell_probabilities(SOURCE_DISTS["qm-real"]), 1, 0, (10, 10))
+        p = mc._cell_probabilities(SOURCE_DISTS["qm-real"])
         with pytest.raises(BellTestError, match="numpy's seeding"):
-            next(chunks)  # raises before the first chunk's counts are drawn
+            mc._draw_chunks(p, 1, 0, (10, 10))
 
     def test_unknown_state_layout_raises(self, monkeypatch):
         monkeypatch.setattr(mc, "_WORD_ORDERS", ((1, 0, 2, 3), (0, 1, 3, 2)))
-        chunks = mc._draw_chunks(mc._cell_probabilities(SOURCE_DISTS["qm-real"]), 1, 0, (10,))
+        p = mc._cell_probabilities(SOURCE_DISTS["qm-real"])
         with pytest.raises(BellTestError, match="word order"):
-            next(chunks)
+            mc._draw_chunks(p, 1, 0, (10,))
 
     def test_state_write_outside_the_generator_raises(self, monkeypatch):
         # a copy of the generator's state bytes passes the layout check, but
