@@ -3,9 +3,9 @@
 Reports go to stdout as JSON (default) or CSV. Exit codes: 0 success,
 1 invalid input, 2 internal-consistency failure (an enumeration that
 finds a local-bound violation, which would mean the code is broken).
-All commands are deterministic given their flags, except that mc also
-reads the BELLTEST_SEED environment variable: its seed falls back to
-BELLTEST_SEED when --seed is absent, then to 0.
+Every command is deterministic given its argv alone (mc's --seed
+defaults to 0). verify-theorem prints lhv's TheoremReport, the one home
+of the functional's 81 values.
 
 Each command loads only the layers it runs: this module loads core,
 inequalities and qm, all that eval needs, and never numpy; lhv loads
@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
 from typing import TYPE_CHECKING, Any, Sequence
@@ -44,8 +43,6 @@ from .inequalities import (
 
 if TYPE_CHECKING:
     from . import montecarlo
-
-SEED_ENV_VAR = "BELLTEST_SEED"
 
 DEFAULT_DIFFS = (120.0, 120.0, 120.0, 0.0)
 DEFAULT_ETA = 0.2
@@ -157,19 +154,19 @@ def _cmd_verify_theorem(args: argparse.Namespace) -> int:
     from . import lhv
 
     report = lhv.verify_theorem()
-    assignments = lhv.enumerate_assignments()
+    values = report.functional_values
     payload = {
         "min_functional_value": report.min_functional_value,
         "all_satisfied": report.all_satisfied,
         "cases_match_expected": report.cases_match_expected,
-        "n_assignments": len(assignments),
+        "n_assignments": len(values),
         "tight_assignments": [s.key() for s in report.argmin_assignments],
         "case_bounds": [
             {**case._asdict(), "a_prime": case.a_prime.symbol, "b_prime": case.b_prime.symbol}
             for case in report.case_bounds
         ],
         "functional_values": {
-            s.key(): value for s, value in zip(assignments, lhv.functional_values())
+            s.key(): value for s, value in zip(lhv.enumerate_assignments(), values)
         },
     }
     _print_json(payload)
@@ -198,18 +195,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_seed(args: argparse.Namespace) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValidationError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
-    return 0
-
-
 def _cmd_mc(args: argparse.Namespace) -> int:
     from . import montecarlo
 
@@ -218,11 +203,10 @@ def _cmd_mc(args: argparse.Namespace) -> int:
         raise ValidationError(f"--workers must be >= 1, got {args.workers}")
     quad = _resolve_quad(args)
     require_symmetric(quad, "mc (symmetric estimator)")
-    seed = _resolve_seed(args)
     plan = montecarlo.RunPlan(
         quad=quad,
         pairs_per_setting=args.pairs,
-        seed=seed,
+        seed=args.seed,
         source=_resolve_source(args),
     )
     counters = montecarlo.run_experiment(plan, workers=args.workers)
@@ -245,7 +229,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
         "source": args.source,
         "quad": _quad_echo(quad),
         "pairs_per_setting": args.pairs,
-        "seed": seed,
+        "seed": args.seed,
         "workers": args.workers,
     }
     if args.source == "lhv":
@@ -350,8 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc = sub.add_parser("mc", help="run a Monte Carlo coincidence experiment")
     p_mc.add_argument("--pairs", type=int, default=1_000_000,
                       help="emitted pairs per setting pair")
-    p_mc.add_argument("--seed", type=int, default=None,
-                      help=f"master seed (default: ${SEED_ENV_VAR} or 0)")
+    p_mc.add_argument("--seed", type=int, default=0, help="master seed")
     p_mc.add_argument("--source", choices=("qm-real", "qm-ideal", "lhv"), default="qm-real")
     p_mc.add_argument("--model", default=None, help="four-axis model file for --source lhv")
     p_mc.add_argument("--workers", type=int, default=1,

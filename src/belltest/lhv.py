@@ -6,7 +6,8 @@ theory is a probability distribution over the 81 four-axis outcome
 assignments. The key fact, checked here by full enumeration rather than
 by linear programming, is that a particular combination of correlations,
 coincidence probabilities, and singles probabilities is bounded below by
--1 for every such distribution.
+-1 for every such distribution. verify_theorem's TheoremReport is the home
+of the functional's 81 values.
 """
 
 from __future__ import annotations
@@ -179,6 +180,7 @@ class TheoremReport(Record):
     argmin_assignments: tuple[DeterministicAssignment, ...]
     case_bounds: tuple[CaseBound, ...]
     all_satisfied: bool
+    functional_values: tuple[int, ...]
 
     @property
     def cases_match_expected(self) -> bool:
@@ -188,13 +190,15 @@ class TheoremReport(Record):
 def verify_theorem() -> TheoremReport:
     """Enumerate all 81 assignments and report the functional's minimum.
 
-    Also reports, for each of the nine primed-outcome cases, the minimum
-    of the bare three-product sum over the unprimed outcomes. A minimum
-    below -1 would be reported, not raised: it signals a broken
-    functional, and the caller decides how loudly to fail.
+    The report holds the 81 values, computed here once each, in the order
+    of enumerate_assignments(). It also reports, for each of the nine
+    primed-outcome cases, the minimum of the bare three-product sum over
+    the unprimed outcomes. A minimum below -1 would be reported, not
+    raised: it signals a broken functional, and the caller decides how
+    loudly to fail.
     """
     assignments = enumerate_assignments()
-    values = functional_values()
+    values = tuple(bell_functional(s) for s in assignments)
     minimum = min(values)
     argmins = tuple(s for s, v in zip(assignments, values) if v == minimum)
 
@@ -212,18 +216,15 @@ def verify_theorem() -> TheoremReport:
         argmin_assignments=argmins,
         case_bounds=tuple(cases),
         all_satisfied=minimum >= -1,
+        functional_values=values,
     )
-
-
-@functools.lru_cache(maxsize=1)
-def functional_values() -> tuple[int, ...]:
-    """bell_functional over the canonical enumeration, cached."""
-    return tuple(bell_functional(s) for s in enumerate_assignments())
 
 
 def mixture_functional(model: FourAxisModel) -> float:
     """Weighted average of the functional; at least -1 for any valid model."""
-    return math.fsum(w * v for w, v in zip(model.weights, functional_values()))
+    return math.fsum(
+        w * bell_functional(s) for w, s in zip(model.weights, enumerate_assignments())
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -69,7 +69,10 @@ def objective(
 
 
 def _axis(step_deg: float) -> list[float]:
-    return [i * step_deg for i in range(math.ceil(180.0 / step_deg))]
+    """i * step_deg for each i with a product below 180.0. The count alone
+    can overshoot: at step 180 / 227, 227 * step_deg == 180.0."""
+    values = (i * step_deg for i in range(math.ceil(180.0 / step_deg)))
+    return [x for x in values if x < 180.0]
 
 
 def _fringes(x: float, axis: list[float]) -> list[float]:

@@ -79,15 +79,13 @@ def run(argv: list[str], workdir: Path) -> str:
     for name, text in FIXTURES.items():
         (workdir / name).write_text(text, encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
-    home, seed = os.getcwd(), os.environ.pop(cli.SEED_ENV_VAR, None)
+    home = os.getcwd()
     os.chdir(workdir)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
     finally:
         os.chdir(home)
-        if seed is not None:
-            os.environ[cli.SEED_ENV_VAR] = seed
     parts = [str(code).encode(), out.getvalue().encode(), err.getvalue().encode()]
     for path in sorted(workdir.iterdir()):
         if path.name not in FIXTURES:

@@ -277,26 +277,15 @@ class TestMc:
         assert out == ""
         assert "--pairs" in err
 
-    def test_env_seed_honored(self, capsys, monkeypatch):
-        monkeypatch.setenv("BELLTEST_SEED", "7")
-        no_seed_argv = [
-            "mc", "--pairs", "200000", "--eta", "0.2", "--phi", "30", "--force-F", "1",
-        ]
-        env_payload = run_json(capsys, no_seed_argv)
-        explicit_payload = run_json(capsys, self.COMMON)
-        assert env_payload["lhs"] == explicit_payload["lhs"]
-        assert env_payload["inputs"]["seed"] == 7
-
-    def test_explicit_seed_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("BELLTEST_SEED", "99")
-        payload = run_json(capsys, self.COMMON)
-        assert payload["inputs"]["seed"] == 7
-
-    def test_bad_env_seed(self, capsys, monkeypatch):
-        monkeypatch.setenv("BELLTEST_SEED", "not-a-number")
-        code, _, err = run_cli(capsys, ["mc", "--pairs", "1000"])
-        assert code == 1
-        assert "BELLTEST_SEED" in err
+    def test_environment_seed_is_ignored(self, capsys, monkeypatch):
+        argv = ["mc", "--pairs", "1000", "--source", "qm-ideal"]
+        monkeypatch.delenv("BELLTEST_SEED", raising=False)
+        code, expected, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert json.loads(expected)["inputs"]["seed"] == 0
+        for value in ("7", "not-a-number"):
+            monkeypatch.setenv("BELLTEST_SEED", value)
+            assert run_cli(capsys, argv) == (0, expected, "")
 
     def test_ideal_source(self, capsys):
         payload = run_json(capsys, [

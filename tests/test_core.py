@@ -421,7 +421,7 @@ RECORD_ARGS = {
     lhv.DeterministicAssignment: (Outcome.PLUS, Outcome.ZERO, Outcome.MINUS, Outcome.PLUS),
     lhv.FourAxisModel: ((1.0 / 81.0,) * 81,),
     lhv.CaseBound: (Outcome.PLUS, Outcome.MINUS, -1, -1),
-    lhv.TheoremReport: (-1, (_ASSIGNMENT,), (_CASE,), True),
+    lhv.TheoremReport: (-1, (_ASSIGNMENT,), (_CASE,), True, (-1,) * 81),
     qm.CascadeGeometry: (0.2, 30.0, None),
     qm.IdealSource: (),
     qm.RealSource: (GEOM_F1,),

@@ -227,7 +227,7 @@ class TestVerifyTheorem:
         )
         assert report.cases_match_expected
 
-    def test_report_and_functional_values_share_one_computation(self, monkeypatch):
+    def test_each_report_evaluates_the_81_assignments_once(self, monkeypatch):
         calls = []
 
         def counted(assignment):
@@ -235,13 +235,12 @@ class TestVerifyTheorem:
             return bell_functional(assignment)
 
         monkeypatch.setattr(lhv, "bell_functional", counted)
-        lhv.functional_values.cache_clear()
-        try:
+        for _ in range(2):
+            calls.clear()
             report = verify_theorem()
-            values = lhv.functional_values()
-        finally:
-            lhv.functional_values.cache_clear()
-        assert len(calls) == 81
+            assert calls == list(enumerate_assignments())
+        values = report.functional_values
+        assert values == tuple(bell_functional(s) for s in enumerate_assignments())
         assert report.min_functional_value == min(values)
         assert report.argmin_assignments == tuple(
             s for s, v in zip(enumerate_assignments(), values) if v == min(values)

@@ -296,6 +296,18 @@ class TestWriteSurface:
         assert max(sizes) < 2 * cells
 
 
+class TestAxis:
+    def test_values_stay_below_180(self):
+        # At 38 of these steps, 180/227 and 180/229 among them, the count
+        # ceil(180 / step) is one more than the values below 180.0.
+        for k in range(4, 2049):
+            step = 180.0 / k
+            axis = optimizer._axis(step)
+            assert len(axis) >= k
+            assert axis == [i * step for i in range(len(axis))]
+            assert axis[-1] < 180.0
+
+
 class TestCoarseOptimum:
     # Plane (F, 1 - F) of the detection form; F = 1 is the ternary form's (1, 0).
     @pytest.mark.parametrize("f", [0.0, 5e-324, 1e-17, 0.8, 1.0])
