@@ -7,21 +7,23 @@ optimum is -1.5. Free quads go further, to 1 - 2 sqrt(2) for the
 ternary form at axes (0, 67.5, 135, 112.5), in line with Tsirelson's
 bound for CHSH. Every scanned form depends on the axes only through
 their differences, so the scan holds a = 0 and searches (b, a'). The
-coarse phase finds the first minimum of the a = 0 plane of the grid
-(n^2 points, not n^3) from each form's plane formula, but scores only
-the rows (values of b) whose exact lower bound can still beat the
-incumbent: 1 to 4 of the n rows over 1,500 random steps and fringe
-factors. A derivative-free coordinate refinement then halves the step
-around the incumbent in (b, a'), re-scoring candidates with the exact
-scalar evaluator so both computation paths stay honest. write_surface
-builds the full n^3 grid, one a-plane at a time, from the same axis and
-rows, and writes it as the CSV of scan --surface.
+grid holds the lhs at grid offsets: the fringe between axis values x_j
+and x_k is c[|j - k|] = cos 2(|j - k| step), equal to cos 2(x_j - x_k)
+wherever that difference is exact. The coarse phase finds the first
+minimum of the a = 0 plane (n^2 points, not n^3) from each form's plane
+formula, but scores only the rows (values of b) whose exact lower bound
+can still beat the incumbent: 1 to 4 of the n rows over 1,500 random
+steps and fringe factors. A derivative-free coordinate refinement then
+halves the step around the incumbent in (b, a'), re-scoring candidates
+with the exact scalar evaluator so both computation paths stay honest.
+write_surface writes the full n^3 grid as the CSV of scan --surface,
+each a-plane a window of one table of lhs texts over grid offsets.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import product
+from itertools import chain, product
 
 from . import qm
 from .core import Record, ValidationError, cos_double_angle, require_in_range
@@ -69,28 +71,24 @@ def objective(
 
 
 def _axis(step_deg: float) -> list[float]:
-    """i * step_deg for each i with a product below 180.0. The count alone
-    can overshoot: at step 180 / 227, 227 * step_deg == 180.0."""
+    """i * step_deg for each i with a product below 180.0 by more than
+    rounding (1e-9). The count alone can overshoot: at step 180 / 227,
+    227 * step_deg == 180.0, and at 180 / 161, 161 * step_deg is 180 - 1 ulp."""
     values = (i * step_deg for i in range(math.ceil(180.0 / step_deg)))
-    return [x for x in values if x < 180.0]
+    return [x for x in values if x < 180.0 - 1e-9]
 
 
-def _fringes(x: float, axis: list[float]) -> list[float]:
-    return [cos_double_angle(x - y) for y in axis]
+def _cosines(step_deg: float, count: int) -> list[float]:
+    """c[d] = cos 2(d * step_deg) for d < count; grid values j, k have fringe c[|j - k|]."""
+    return [cos_double_angle(d * step_deg) for d in range(count)]
 
 
-def _plane_row(scale: float, offset: float, first: float, a_row: list[float],
-               row: list[float]) -> list[float]:
-    """Row x_j of plane a: scale * (cos 2(a - x_j) + cos 2(a - x_k) + cos 2(x_j - x_k)) + offset."""
-    return [scale * (first + cell + fringe) + offset for cell, fringe in zip(a_row, row)]
-
-
-class _ReprOnce(dict):
-    """lhs -> its repr and a newline, made on first use."""
-
-    def __missing__(self, value: float) -> str:
-        text = self[value] = repr(value) + "\n"
-        return text
+def _plane_row(scale: float, offset: float, c: list[float], cells: list[float],
+               j: int) -> list[float]:
+    """Row j of the plane scale * (cells[j] + cells[k] + c[|j - k|]) + offset."""
+    first = cells[j]
+    fringes = c[j:0:-1] + c[:len(cells) - j]
+    return [scale * (first + cell + fringe) + offset for cell, fringe in zip(cells, fringes)]
 
 
 def write_surface(
@@ -104,64 +102,65 @@ def write_surface(
     The axis holds [0, 180) at step_deg, from MIN_SURFACE_STEP_DEG (256
     values) to MAX_STEP_DEG; the form and the step are checked before path
     is opened. Rows run over a in axis order, then (b, a') row-major, with
-    b' = a'. Each a-plane is built when it is written, so memory stays
-    O(n^2). Every number prints as its repr, and each distinct lhs is
-    formatted once; the texts are forgotten once they outnumber a plane's
-    cells. Float keys are exact because every lhs is scale * (...) + offset
-    with Form.plane's scale >= 0 and offset 0.0 or 1 - F >= +0.0: no lhs is
-    -0.0 (which would share 0.0's key) or NaN.
+    b' = a'. Every number prints as its repr. The lhs at grid values
+    (i, j, k) is the lhs at grid offsets u = j - i and v = k - i,
+    scale * (c[|u|] + c[|v|] + c[|u - v|]) + offset over _cosines, equal
+    to the lhs at x_j - x_k wherever that difference is exact. The texts
+    of all (2n - 1)^2 offsets are formatted once, and a-plane i is their
+    n x n window starting at (-i, -i).
     """
     scale, offset = _scan_form(inequality, source).plane(source)
     require_in_range("step_deg", step_deg, MIN_SURFACE_STEP_DEG, MAX_STEP_DEG)
     axis = _axis(float(step_deg))
-    fringes = [_fringes(x, axis) for x in axis]
+    n = len(axis)
+    c = _cosines(float(step_deg), 2 * n - 1)
+    fringes = c[n - 1:0:-1] + c[:n]  # c[|u|] at index u + n - 1
+    table = [
+        [repr(lhs) + "\n" for lhs in _plane_row(scale, offset, c, fringes, u)]
+        for u in range(2 * n - 1)
+    ]
     labels = [repr(x) for x in axis]
     cells = [f",{b},{ap},{ap}," for b in labels for ap in labels]
     parts = [""] * (3 * len(cells))  # a, ",b,a',a',", lhs per row
     parts[1::3] = cells
-    texts = _ReprOnce()
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("a,b,a_prime,b_prime,lhs\n")
-        for a, a_row in zip(labels, fringes):
-            if len(texts) > len(cells):
-                texts.clear()
-            plane: list[float] = []
-            for first, row in zip(a_row, fringes):
-                plane += _plane_row(scale, offset, first, a_row, row)
+        for i, a in enumerate(labels):
+            window = slice(n - 1 - i, 2 * n - 1 - i)
             parts[0::3] = [a] * len(cells)
-            parts[2::3] = map(texts.__getitem__, plane)
+            parts[2::3] = chain.from_iterable(row[window] for row in table[window])
             handle.write("".join(parts))
 
 
 def _coarse_optimum(scale: float, offset: float, step_deg: float) -> tuple[float, float]:
     """(b, a') of the first minimum of the a = 0 plane of the scan grid.
 
-    The plane is the one write_surface writes first, from the same _axis and
-    _plane_row, with b = x_j at row j and a' = b' = x_k at column k. Ties
-    go to the first cell in row-major order, as with np.argmin. scale must
-    be >= 0, as every Form.plane's is.
+    The plane is write_surface's first, from the same _axis, _cosines and
+    _plane_row, with b = x_j at row j and a' = b' = x_k at column k (the
+    lhs at grid offsets). Ties go to the first cell in row-major order, as
+    with np.argmin. scale must be >= 0, as every Form.plane's is.
 
     A row is scored only if it can hold the minimum. Since
     cos 2x_k + cos 2(x_k - x_j) = 2 cos x_j cos(2x_k - x_j) >= -2|cos x_j|,
     every value in row j is at least
     bound_j = scale * (cos 2x_j - 2|cos x_j| - 1e-9) + offset.
-    The slack covers the rounding of the cosines and sums; it sits inside
-    the product so that rounding, being monotone, keeps bound_j a bound
-    even when scale is 0 or subnormal. The row with the smallest bound is
-    scored first; then row j is scored only while (bound_j, j) is below
-    the incumbent's (value, row).
+    The slack covers the rounding of the cosines, sums and offsets; it sits
+    inside the product so that rounding, being monotone, keeps bound_j a
+    bound even when scale is 0 or subnormal. The row with the smallest
+    bound is scored first; then row j is scored only while (bound_j, j) is
+    below the incumbent's (value, row).
     """
     axis = _axis(step_deg)
-    row0 = _fringes(0.0, axis)  # cos 2(a - x) at a = 0
+    c = _cosines(step_deg, len(axis))  # also cos 2(a - x_k) at a = 0
 
     def score(j: int) -> tuple[float, int, int]:
-        row = _plane_row(scale, offset, row0[j], row0, _fringes(axis[j], axis))
+        row = _plane_row(scale, offset, c, c, j)
         value = min(row)
         return value, j, row.index(value)
 
     bounds = [
         scale * (cell - 2.0 * abs(math.cos(math.radians(x))) - 1e-9) + offset
-        for x, cell in zip(axis, row0)
+        for x, cell in zip(axis, c)
     ]
     start = min(range(len(axis)), key=bounds.__getitem__)
     best = score(start)

@@ -615,6 +615,7 @@ class TestParsing:
         ["eval", "--ineq", "ternary"],
         ["mc", "--pairs", "1000", "--source", "qm-ideal"],
         ["scan", "--step", "15", "--rounds", "0", "--surface", "surface.csv"],
+        ["scan", "--step", "7.3", "--rounds", "0", "--surface", "surface73.csv"],
         ["mc", "--pairs", "3000000", "--source", "qm-ideal", "--seed", "7", "--counters", "c.csv"],
         ["eval", "--ineq", "detection", "--source", "qm-real",
          "--angles", "-30,400,12.25,179.99", "--eta", "0.37", "--phi", "41.3"],

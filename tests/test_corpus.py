@@ -25,6 +25,11 @@ Earlier lines already held the rest: the free-angle eval pins (lines 6-7,
 verify-theorem (1), the 3000000-pair qm-ideal mc stdout and counters (62),
 and the step-2, 3 and 7 surfaces (70-72 and 74).
 
+Lines 148-150 pin steps whose axis differences round, with digests taken
+when the scan grid became the lhs at grid offsets: the step-7.3 ternary and
+detection surfaces, and the step-13.017994494867063 scan, whose coarse
+phase breaks a symmetric tie there.
+
 tests/corpus/update.py rewrites the digests; a change that runs it lists
 every line whose digest moved.
 """

@@ -24,15 +24,24 @@ def _surface(path, inequality, source, step):
         return [tuple(map(float, line.split(","))) for line in handle]
 
 
-def _numpy_planes(scale, offset, step):
+def _numpy_axis(step):
+    """The scan axis by numpy: i * step below 180 by more than rounding."""
+    return np.arange(0.0, 180.0 - 1e-9, step)
+
+
+def _numpy_planes(scale, offset, step, differences=False):
     """The a-planes of the scan grid by numpy broadcasting, each indexed (b, a'):
-    an independent reference for write_surface. Its fringes are cos_double_angle
-    of numpy's axis differences, so it checks indexing and summation order, not
-    whether a numpy build's cosine matches math.cos."""
-    axes = np.arange(0.0, 180.0, step)
-    # each distinct difference once: a fine axis has n**2 cells but few distinct values
-    diffs, where = np.unique(axes[:, None] - axes[None, :], return_inverse=True)
-    fringes = np.array([cos_double_angle(d) for d in diffs.tolist()])[where]
+    an independent reference for write_surface. The fringe between axis values
+    x_j and x_k is cos_double_angle(|j - k| * step), the lhs at grid offsets, or
+    with differences=True cos_double_angle(x_j - x_k); the two agree wherever
+    x_j - x_k is exact. It checks indexing and summation order, not whether a
+    numpy build's cosine matches math.cos."""
+    axes = _numpy_axis(step)
+    index = np.arange(axes.size)
+    args = axes[:, None] - axes[None, :] if differences else np.abs(index[:, None] - index) * step
+    # each distinct argument once: a fine axis has n**2 cells but few distinct values
+    values, where = np.unique(args, return_inverse=True)
+    fringes = np.array([cos_double_angle(d) for d in values.tolist()])[where]
     fringes = fringes.reshape(axes.size, axes.size)
     for row in fringes:
         yield scale * (row[:, None] + row[None, :] + fringes) + offset
@@ -244,30 +253,43 @@ class TestWriteSurface:
         return path.read_bytes()
 
     @staticmethod
-    def reference(inequality, source, step):
-        axes = np.arange(0.0, 180.0, step).tolist()
-        return surface_reference(axes, _numpy_planes(*FORMS[inequality].plane(source), step))
+    def reference(inequality, source, step, differences=False):
+        planes = _numpy_planes(*FORMS[inequality].plane(source), step, differences)
+        return surface_reference(_numpy_axis(step).tolist(), planes)
 
-    # Exact steps: the coarsest, and a 64-value axis (262,144 rows).
+    # Exact steps: the coarsest, and a 64-value axis (262,144 rows). Every
+    # x_j - x_k is exact, so the lhs at offsets is the lhs at differences.
     @pytest.mark.parametrize("step", [45.0, 2.8125])
     @pytest.mark.parametrize("inequality,source", [("ternary", IDEAL), ("detection", REAL)])
     def test_bytes_match_numpy_reference(self, tmp_path, step, inequality, source):
-        expected = self.reference(inequality, source, step)
-        assert self.write(tmp_path, inequality, source, step) == expected
+        written = self.write(tmp_path, inequality, source, step)
+        assert written == self.reference(inequality, source, step)
+        assert written == self.reference(inequality, source, step, differences=True)
 
-    # Steps at which some axis differences round, so that the planes'
-    # fringes are not shifted copies of one another.
+    # Steps at which some axis differences round: the surface holds the lhs
+    # at grid offsets, which there differs from the lhs at axis differences.
     @pytest.mark.parametrize("step", [7.3, 13.7])
     @pytest.mark.parametrize("inequality,source", [("ternary", IDEAL), ("detection", REAL)])
     def test_bytes_match_numpy_reference_where_differences_round(
         self, tmp_path, step, inequality, source
     ):
-        axes = np.arange(0.0, 180.0, step).tolist()
+        axes = _numpy_axis(step).tolist()
         assert any(
             axes[j] - axes[k] != axes[j - k] for j in range(len(axes)) for k in range(j)
         )
         expected = self.reference(inequality, source, step)
         assert self.write(tmp_path, inequality, source, step) == expected
+        assert expected != self.reference(inequality, source, step, differences=True)
+
+    @pytest.mark.parametrize("inequality,source", [("ternary", IDEAL), ("detection", REAL)])
+    def test_planes_are_shifted_copies_of_the_first(self, tmp_path, inequality, source):
+        # Also where differences round: the lhs at (i, j, k) is the lhs at
+        # (0, j - i, k - i) for all j, k >= i.
+        rows = _surface(tmp_path / "surface.csv", inequality, source, 7.3)
+        n = _numpy_axis(7.3).size
+        lhs = np.array([row[4] for row in rows]).reshape(n, n, n)
+        for i in range(n):
+            assert np.array_equal(lhs[i, i:, i:], lhs[0, :n - i, :n - i])
 
     def test_no_file_below_the_surface_step(self, tmp_path):
         # 180 / the step would exceed 256 axis values; refused before open
@@ -277,35 +299,15 @@ class TestWriteSurface:
             optimizer.write_surface(str(path), "ternary", IDEAL, step)
         assert not path.exists()
 
-    def test_text_cache_holds_at_most_two_planes(self, tmp_path, monkeypatch):
-        # At a step whose differences round, the planes share few values, so
-        # the texts outnumber one plane's cells and the cache is cleared
-        sizes = []
-        missing = optimizer._ReprOnce.__missing__
-
-        def recording(texts, value):
-            sizes.append(len(texts))
-            return missing(texts, value)
-
-        monkeypatch.setattr(optimizer._ReprOnce, "__missing__", recording)
-        cells = len(np.arange(0.0, 180.0, 13.7)) ** 2
-        expected = self.reference("detection", REAL, 13.7)
-        assert self.write(tmp_path, "detection", REAL, 13.7) == expected
-        assert len(sizes) > cells
-        assert any(after < before for before, after in zip(sizes, sizes[1:]))
-        assert max(sizes) < 2 * cells
-
 
 class TestAxis:
-    def test_values_stay_below_180(self):
-        # At 38 of these steps, 180/227 and 180/229 among them, the count
-        # ceil(180 / step) is one more than the values below 180.0.
+    def test_180_over_k_gives_k_values(self):
+        # The count ceil(180 / step) overshoots at 38 of these steps (180/227
+        # among them: 227 * step == 180.0), and at 31 others (180/161 among
+        # them) k * step is 180 - 1 ulp, the first value again up to rounding.
         for k in range(4, 2049):
             step = 180.0 / k
-            axis = optimizer._axis(step)
-            assert len(axis) >= k
-            assert axis == [i * step for i in range(len(axis))]
-            assert axis[-1] < 180.0
+            assert optimizer._axis(step) == [i * step for i in range(k)]
 
 
 class TestCoarseOptimum:

@@ -30,7 +30,7 @@ from belltest.montecarlo import (  # noqa: E402
     CoincidenceCounters,
     evaluate_symmetric_detection,
 )
-from test_optimizer import _numpy_planes  # noqa: E402
+from test_optimizer import _numpy_axis, _numpy_planes  # noqa: E402
 
 angles = st.floats(min_value=-720.0, max_value=720.0, allow_nan=False)
 geometries = st.builds(
@@ -376,8 +376,9 @@ def test_mc_lhs_agrees_with_the_symmetric_evaluator(cross, primed):
 
 
 def _numpy_plane_argmin(scale, offset, step):
-    """(b, a') at numpy's first argmin of the a = 0 plane, built by numpy broadcasting."""
-    axes = np.arange(0.0, 180.0, step)
+    """(b, a') at numpy's first argmin of the a = 0 plane, built by numpy broadcasting
+    from the fringes at grid offsets."""
+    axes = _numpy_axis(step)
     plane = next(_numpy_planes(scale, offset, step))
     j, k = divmod(int(np.argmin(plane)), axes.size)
     return float(axes[j]), float(axes[k])
@@ -399,6 +400,8 @@ SCAN_F = st.one_of(
 @example(step=optimizer.MIN_STEP_DEG, f=1.0)
 @example(step=0.25, f=1.0 / math.sqrt(2.0))
 @example(step=0.7, f=0.8)
+# a symmetric tie whose cells' lhs at axis differences differ by 1 ulp
+@example(step=13.017994494867063, f=1.0)
 def test_coarse_optimum_is_numpys_first_argmin_of_the_plane(step, f):
     # f is the detection form's fringe factor F: its plane is (F, 1 - F), and
     # F = 1 gives the ternary form's (1, 0) scale.
@@ -420,9 +423,9 @@ def test_coarse_optimum_is_numpys_first_argmin_of_the_plane(step, f):
 @example(eta=1.0, phi=90.0, f_override=0.0)
 @example(eta=0.5, phi=5e-324, f_override=None)
 def test_scan_planes_keep_the_lhs_off_minus_zero(eta, phi, f_override):
-    # _coarse_optimum's row bound holds only for scale >= 0. write_surface
-    # keys its lhs texts by float, where -0.0 and 0.0 share a key; with
-    # scale >= 0 and offset +0.0 or above, scale * (...) + offset is never -0.0.
+    # _coarse_optimum's row bound holds only for scale >= 0. With scale >= 0
+    # and offset +0.0 or above, scale * (...) + offset is never -0.0, so no
+    # surface prints "-0.0".
     geom = qm.CascadeGeometry(eta, phi, f_override)
     for name in optimizer.INEQUALITIES:
         form = FORMS[name]
