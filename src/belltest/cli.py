@@ -79,10 +79,10 @@ def _print_report_csv(fields: dict[str, Any]) -> None:
 def _emit(
     args: argparse.Namespace, source: object, fields: dict[str, Any], inputs: dict[str, Any]
 ) -> None:
-    """Print a report: the fields as CSV, or as JSON followed by the inputs
-    and, for a qm-real source, its geometry. JSON has no infinity, so a
-    non-finite field (mc's sigma_distance at zero spread; margin keeps the
-    sign) prints as null there."""
+    """Print the report of eval, mc or scan: the fields as CSV, or as JSON
+    followed by the inputs and, for a qm-real source, its geometry. JSON has
+    no infinity, so a non-finite field (mc's sigma_distance at zero spread;
+    margin keeps the sign) prints as null there."""
     if args.format == "csv":
         _print_report_csv(fields)
         return
@@ -181,10 +181,7 @@ def _cmd_verify_theorem(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     quad = _resolve_quad(args)
     source = _resolve_source(args)
-    form = form_for(args.ineq, source)
-    if form.symmetric:
-        require_symmetric(quad, f"--ineq {args.ineq}")
-    report = form.evaluate(quad, source)
+    report = form_for(args.ineq, source).evaluate(quad, source)
     inputs = {"ineq": args.ineq, "source": args.source, "quad": _quad_echo(quad)}
     _emit(args, source, report._asdict(), inputs)
     return 0
@@ -263,18 +260,18 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     if args.surface is not None:
         optimizer.write_surface(args.surface, args.ineq, source, args.step)
 
-    best = {"best_lhs": result.best_lhs, "best_factor": result.best_factor}
-    if args.format == "csv":
-        _print_report_csv({**result.best_quad._asdict(), **best})
-    else:
-        _print_json({
-            "ineq": args.ineq,
-            "source": args.source,
-            "best_quad": _quad_echo(result.best_quad),
-            **best,
-            "step_deg": args.step,
-            "refine_rounds": args.rounds,
-        })
+    fields = {
+        **result.best_quad._asdict(),
+        "best_lhs": result.best_lhs,
+        "best_factor": result.best_factor,
+    }
+    inputs = {
+        "ineq": args.ineq,
+        "source": args.source,
+        "step_deg": args.step,
+        "refine_rounds": args.rounds,
+    }
+    _emit(args, source, fields, inputs)
     return 0
 
 

@@ -390,6 +390,7 @@ def _ternary(quad: SettingsQuad, source: qm.IdealSource) -> InequalityReport:
 
 
 def _ternary_sym(quad: SettingsQuad, source: qm.IdealSource) -> InequalityReport:
+    require_symmetric(quad, "--ineq ternary-sym")
     ap, bp = quad.pair_axes()[-1]
     pair = qm.ideal_pair_probabilities(ap - bp)
     e_cross = _correlations(quad)[0]
@@ -412,6 +413,7 @@ def _detection(quad: SettingsQuad, source: qm.RealSource) -> InequalityReport:
 
 
 def _detection_sym(quad: SettingsQuad, source: qm.RealSource) -> InequalityReport:
+    require_symmetric(quad, "--ineq detection-sym")
     cross_axes, *_, primed_axes = quad.pair_axes()
     geom = source.geometry
     single = geom.single_rate
@@ -441,28 +443,27 @@ def _detection_plane(source: qm.RealSource) -> tuple[float, float]:
 class Form(Record):
     """How one named inequality is evaluated from quantum closed forms.
 
-    source is the qm source class whose predictions feed it. A symmetric
-    form assumes its three cross pairs share one axis difference (see
-    require_symmetric). An angle scan optimizes the forms with a plane:
-    with b' = a' their primed-pair and singles terms are constants, and
-    plane(source) gives (scale, offset) with lhs = scale * (cos 2(a-b)
-    + cos 2(a'-a) + cos 2(b-a')) + offset and scale >= 0, which the scan's
-    row bound needs. evaluate checks no condition.
+    source is the qm source class whose predictions feed it. The evaluate
+    of a symmetric form rejects a quad whose three cross pairs do not share
+    one axis difference (see require_symmetric). An angle scan optimizes
+    the forms with a plane: with b' = a' their primed-pair and singles
+    terms are constants, and plane(source) gives (scale, offset) with
+    lhs = scale * (cos 2(a-b) + cos 2(a'-a) + cos 2(b-a')) + offset and
+    scale >= 0, which the scan's row bound needs.
     """
 
     source: type[qm.IdealSource] | type[qm.RealSource]
-    symmetric: bool
     evaluate: Callable[[SettingsQuad, Any], InequalityReport]
     plane: Callable[[Any], tuple[float, float]] | None = None
 
 
 FORMS: dict[str, Form] = {
-    "ternary": Form(qm.IdealSource, symmetric=False, evaluate=_ternary, plane=_ternary_plane),
-    "ternary-sym": Form(qm.IdealSource, symmetric=True, evaluate=_ternary_sym),
-    "bell65": Form(qm.IdealSource, symmetric=False, evaluate=_bell65),
-    "chsh": Form(qm.IdealSource, symmetric=False, evaluate=_chsh),
-    "detection": Form(qm.RealSource, symmetric=False, evaluate=_detection, plane=_detection_plane),
-    "detection-sym": Form(qm.RealSource, symmetric=True, evaluate=_detection_sym),
+    "ternary": Form(qm.IdealSource, _ternary, _ternary_plane),
+    "ternary-sym": Form(qm.IdealSource, _ternary_sym),
+    "bell65": Form(qm.IdealSource, _bell65),
+    "chsh": Form(qm.IdealSource, _chsh),
+    "detection": Form(qm.RealSource, _detection, _detection_plane),
+    "detection-sym": Form(qm.RealSource, _detection_sym),
 }
 
 INEQUALITIES = tuple(name for name, form in FORMS.items() if form.plane is not None)

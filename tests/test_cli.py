@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 import belltest
 from belltest import inequalities, lhv, montecarlo, optimizer, qm
 from belltest.cli import main
-from belltest.core import SinglesProbabilities, cos_double_angle
+from belltest.core import SinglesProbabilities, ValidationError, cos_double_angle
 from belltest.inequalities import (
     FORMS,
     SettingsQuad,
@@ -23,6 +24,9 @@ from belltest.inequalities import (
     ternary_inequality_symmetric,
 )
 from test_optimizer import _numpy_planes, surface_reference
+
+ENTRY_POINTS = Path(__file__).with_name("entry_points.txt")
+"""One argv per line, shell-split: the commands CI also runs through the console script."""
 
 
 def run_cli(capsys, argv):
@@ -202,6 +206,24 @@ class TestFormRegistry:
         lines = err.splitlines()
         assert len(lines) == 1
         assert required in json.loads(lines[0])["error"]
+
+    @pytest.mark.parametrize("name", ["ternary-sym", "detection-sym"])
+    def test_symmetric_form_rejects_asymmetric_quad_itself(self, capsys, name):
+        # The form's own evaluate holds the symmetry rule; eval only reports it.
+        source = (
+            qm.IdealSource() if REQUIRED_SOURCE[name] == "qm-ideal"
+            else qm.RealSource(qm.CascadeGeometry(eta=0.3, phi_deg=40.0))
+        )
+        with pytest.raises(ValidationError) as raised:
+            FORMS[name].evaluate(SettingsQuad(0, 30, 100, 50), source)
+        code, out, err = run_cli(capsys, [
+            "eval", "--ineq", name, "--source", REQUIRED_SOURCE[name],
+            "--angles", "0,30,100,50", *self.GEOMETRY,
+        ])
+        assert (code, out) == (1, "")
+        assert str(raised.value) == json.loads(err)["error"] == (
+            f"--ineq {name} assumes one shared cross difference; use --diffs d,d,d[,d4]"
+        )
 
     @pytest.mark.parametrize("name", optimizer.INEQUALITIES)
     def test_scan_objective_is_the_table_evaluator(self, name):
@@ -400,6 +422,32 @@ class TestScan:
             "--step", "15", "--rounds", "3", "--force-F", "1",
         ])
         assert payload["best_lhs"] == pytest.approx(-1.5, abs=1e-4)
+
+    REAL_SCAN = [
+        "scan", "--ineq", "detection", "--source", "qm-real",
+        "--step", "15", "--rounds", "0", "--eta", "0.37", "--phi", "41.3",
+    ]
+
+    @pytest.mark.parametrize("force", [[], ["--force-F", "1"]], ids=["F", "force-F"])
+    def test_real_scan_echoes_geometry(self, capsys, force):
+        inputs = run_json(capsys, self.REAL_SCAN + force)["inputs"]
+        assert inputs == {
+            "ineq": "detection", "source": "qm-real", "step_deg": 15.0, "refine_rounds": 0,
+            "eta": 0.37, "phi_deg": 41.3, "f_override": 1.0 if force else None,
+        }
+
+    def test_ideal_scan_echoes_no_geometry(self, capsys):
+        inputs = run_json(capsys, ["scan", "--step", "15", "--rounds", "0"])["inputs"]
+        assert inputs == {
+            "ineq": "ternary", "source": "qm-ideal", "step_deg": 15.0, "refine_rounds": 0,
+        }
+
+    def test_json_fields_are_the_csv_columns(self, capsys):
+        payload = run_json(capsys, self.REAL_SCAN)
+        _, out, _ = run_cli(capsys, self.REAL_SCAN + ["--format", "csv"])
+        header, row = out.splitlines()
+        assert list(payload) == header.split(",") + ["inputs"]
+        assert [repr(payload[name]) for name in header.split(",")] == row.split(",")
 
     @pytest.mark.parametrize("step", [
         "0.1", "0.5", repr(inequalities.MIN_SURFACE_STEP_DEG * (1.0 - 1e-9)),
@@ -607,18 +655,11 @@ class TestParsing:
         assert result.returncode == 0
         assert '"min_functional_value": -1' in result.stdout
 
-    # CI runs these commands through the installed console script and through
-    # `python -m belltest` and compares what they print and write; here the
-    # module entry point is compared with cli.main run in process.
+    # CI runs the commands of entry_points.txt through the installed console
+    # script and through `python -m belltest` and compares what they print and
+    # write; here the module entry point is compared with cli.main run in process.
     @pytest.mark.parametrize("argv", [
-        ["verify-theorem"],
-        ["eval", "--ineq", "ternary"],
-        ["mc", "--pairs", "1000", "--source", "qm-ideal"],
-        ["scan", "--step", "15", "--rounds", "0", "--surface", "surface.csv"],
-        ["scan", "--step", "7.3", "--rounds", "0", "--surface", "surface73.csv"],
-        ["mc", "--pairs", "3000000", "--source", "qm-ideal", "--seed", "7", "--counters", "c.csv"],
-        ["eval", "--ineq", "detection", "--source", "qm-real",
-         "--angles", "-30,400,12.25,179.99", "--eta", "0.37", "--phi", "41.3"],
+        shlex.split(line) for line in ENTRY_POINTS.read_text(encoding="utf-8").splitlines()
     ], ids=" ".join)
     def test_module_entry_point_matches_main(self, capsys, tmp_path, monkeypatch, argv):
         module, in_process = tmp_path / "module", tmp_path / "main"

@@ -417,7 +417,7 @@ RECORD_ARGS = {
     DetectionRates: (0.25, 0.25, 0.25, 0.25, 0.5, 0.5, 0.5, 0.5),
     inequalities.InequalityReport: _REPORT_ARGS,
     SettingsQuad: (0.0, 120.0, 60.0, 60.0),
-    inequalities.Form: (qm.IdealSource, False, inequalities.FORMS["chsh"].evaluate, None),
+    inequalities.Form: (qm.IdealSource, inequalities.FORMS["chsh"].evaluate, None),
     lhv.DeterministicAssignment: (Outcome.PLUS, Outcome.ZERO, Outcome.MINUS, Outcome.PLUS),
     lhv.FourAxisModel: ((1.0 / 81.0,) * 81,),
     lhv.CaseBound: (Outcome.PLUS, Outcome.MINUS, -1, -1),
