@@ -80,14 +80,15 @@ def _emit(
     args: argparse.Namespace, source: object, fields: dict[str, Any], inputs: dict[str, Any]
 ) -> None:
     """Print the report of eval, mc or scan: the fields as CSV, or as JSON
-    followed by the inputs and, for a qm-real source, its geometry. JSON has
+    followed by the inputs and, for a qm-real source, its geometry and the
+    effective f_factor, the only geometry that moves eval and scan. JSON has
     no infinity, so a non-finite field (mc's sigma_distance at zero spread;
     margin keeps the sign) prints as null there."""
     if args.format == "csv":
         _print_report_csv(fields)
         return
     if isinstance(source, qm.RealSource):
-        inputs = {**inputs, **source.geometry._asdict()}
+        inputs = {**inputs, **source.geometry._asdict(), "f_factor": source.f_factor}
     finite = {
         name: None if isinstance(value, float) and not math.isfinite(value) else value
         for name, value in fields.items()

@@ -7,9 +7,16 @@ term at the primed setting pair, plus the primed-side detected singles. The
 flavors are the general form, a symmetric reduced form, and measurable
 variants of both built from detection-rate ratios (which cancel the unknown
 emission count). Bell's original 1965 three-correlation inequality and the
-CHSH inequality are provided for comparison. FORMS names all six and says,
-for each, which quantum source feeds it and how its inputs follow from the
-closed forms at a setting quad.
+CHSH inequality are provided for comparison. FORMS names all six and the
+quantum source that feeds each.
+
+At both qm sources the four ternary forms are one closed form, F S + 1,
+with S = E1 + E2 + E3 - E4 over the ideal correlations Ek = cos 2(x1 - x2)
+and F the source's depolarization factor (1 at qm-ideal). eta, the solid
+angle and the angular correlation cancel, so only mc's counts and error
+bars see them. FORMS evaluates the four forms by that rule; the merged quad
+reads 1 - 2.5 F and the free quad 1 - 2 sqrt(2) F. The term-rule
+evaluators below take arbitrary inputs and counts.
 
 Both measurable forms are CHSH plus one: E1 + E2 + E3 - E4 + 1, where Ek is
 each pair's normalized coincidence correlation E/T0 and (a', b') takes the
@@ -355,12 +362,9 @@ def chsh(e_ab: float, e_bpa: float, e_bap: float, e_apbp: float) -> InequalityRe
 
 
 # ---------------------------------------------------------------------------
-# The form table: which source feeds each inequality and how the quantum
-# closed forms at a setting quad become its inputs.
+# The form table: which source feeds each inequality and how it reads the
+# quantum closed forms at a setting quad.
 # ---------------------------------------------------------------------------
-
-_IDEAL_SINGLES = SinglesProbabilities(p_plus=0.5, p_zero=0.0, p_minus=0.5)
-"""An ideal polarizer sends every photon to + or - with equal odds."""
 
 
 def _correlations(quad: SettingsQuad) -> list[float]:
@@ -380,21 +384,21 @@ def require_symmetric(quad: SettingsQuad, what: str) -> None:
         )
 
 
-def _ternary(quad: SettingsQuad, source: qm.IdealSource) -> InequalityReport:
-    *cross, _ = _correlations(quad)
-    ap, bp = quad.pair_axes()[-1]
-    return ternary_inequality(
-        *cross, qm.ideal_pair_probabilities(ap - bp),
-        _IDEAL_SINGLES, _IDEAL_SINGLES,
-    )
+def _chsh_plus_one(
+    name: str, symmetric: bool = False
+) -> Callable[[SettingsQuad, Any], InequalityReport]:
+    """The evaluate of ternary form name at a qm source: F (E1 + E2 + E3 - E4) + 1,
+    the F-scaled correlations and the 1 summed by one fsum."""
 
+    def evaluate(quad: SettingsQuad, source: qm.IdealSource | qm.RealSource) -> InequalityReport:
+        if symmetric:
+            require_symmetric(quad, f"--ineq {name}")
+        e1, e2, e3, e4 = _correlations(quad)
+        f = source.f_factor
+        lhs = math.fsum((f * e1, f * e2, f * e3, -f * e4, 1.0))
+        return _report(name, lhs, LOCAL_BOUND, "ge")
 
-def _ternary_sym(quad: SettingsQuad, source: qm.IdealSource) -> InequalityReport:
-    require_symmetric(quad, "--ineq ternary-sym")
-    ap, bp = quad.pair_axes()[-1]
-    pair = qm.ideal_pair_probabilities(ap - bp)
-    e_cross = _correlations(quad)[0]
-    return ternary_inequality_symmetric(e_cross, pair.pp, pair.mm, (0.5, 0.5, 0.5, 0.5))
+    return evaluate
 
 
 def _bell65(quad: SettingsQuad, source: qm.IdealSource) -> InequalityReport:
@@ -405,49 +409,20 @@ def _chsh(quad: SettingsQuad, source: qm.IdealSource) -> InequalityReport:
     return chsh(*_correlations(quad))
 
 
-def _detection(quad: SettingsQuad, source: qm.RealSource) -> InequalityReport:
-    geom = source.geometry
-    single = geom.single_rate
-    rates = [qm.detection_rates(x1, x2, geom) for x1, x2 in quad.pair_axes()]
-    return detection_inequality(*rates, singles_ap=(single, single), singles_bp=(single, single))
-
-
-def _detection_sym(quad: SettingsQuad, source: qm.RealSource) -> InequalityReport:
-    require_symmetric(quad, "--ineq detection-sym")
-    cross_axes, *_, primed_axes = quad.pair_axes()
-    geom = source.geometry
-    single = geom.single_rate
-    cross = qm.detection_rates(*cross_axes, geom)
-    primed = qm.detection_rates(*primed_axes, geom)
-    return detection_inequality_symmetric(
-        e_cross=detection_expectation(cross),
-        total_cross=coincidence_total(cross),
-        d_pp_primed=primed.d_pp,
-        d_mm_primed=primed.d_mm,
-        total_primed=coincidence_total(primed),
-        d_plus_primed=single,
-        d_minus_primed=single,
-        singles_total_primed=2.0 * single,
-    )
-
-
-def _ternary_plane(source: qm.IdealSource) -> tuple[float, float]:
-    return 1.0, 0.0
-
-
-def _detection_plane(source: qm.RealSource) -> tuple[float, float]:
-    f = source.geometry.f_factor
+def _plane(source: qm.IdealSource | qm.RealSource) -> tuple[float, float]:
+    f = source.f_factor
     return f, 1.0 - f
 
 
 class Form(Record):
     """How one named inequality is evaluated from quantum closed forms.
 
-    source is the qm source class whose predictions feed it. The evaluate
-    of a symmetric form rejects a quad whose three cross pairs do not share
-    one axis difference (see require_symmetric). An angle scan optimizes
-    the forms with a plane: with b' = a' their primed-pair and singles
-    terms are constants, and plane(source) gives (scale, offset) with
+    source is the qm source class whose predictions feed it. The four
+    ternary forms' evaluate reads F S + 1 (see the module docstring); a
+    symmetric form's first rejects a quad whose three cross pairs do not
+    share one axis difference (see require_symmetric). An angle scan
+    optimizes the forms with a plane: with b' = a', E4 = 1, and
+    plane(source) gives (scale, offset) = (F, 1 - F) with
     lhs = scale * (cos 2(a-b) + cos 2(a'-a) + cos 2(b-a')) + offset and
     scale >= 0, which the scan's row bound needs.
     """
@@ -458,12 +433,12 @@ class Form(Record):
 
 
 FORMS: dict[str, Form] = {
-    "ternary": Form(qm.IdealSource, _ternary, _ternary_plane),
-    "ternary-sym": Form(qm.IdealSource, _ternary_sym),
+    "ternary": Form(qm.IdealSource, _chsh_plus_one("ternary"), _plane),
+    "ternary-sym": Form(qm.IdealSource, _chsh_plus_one("ternary-sym", symmetric=True)),
     "bell65": Form(qm.IdealSource, _bell65),
     "chsh": Form(qm.IdealSource, _chsh),
-    "detection": Form(qm.RealSource, _detection, _detection_plane),
-    "detection-sym": Form(qm.RealSource, _detection_sym),
+    "detection": Form(qm.RealSource, _chsh_plus_one("detection"), _plane),
+    "detection-sym": Form(qm.RealSource, _chsh_plus_one("detection-sym", symmetric=True)),
 }
 
 INEQUALITIES = tuple(name for name, form in FORMS.items() if form.plane is not None)

@@ -54,7 +54,9 @@ def depolarization_factor(phi_deg: float) -> float:
 
     Very close to 1 for realistic apertures; small-aperture form. F > 0.8
     means phi < 63.1 degrees and F > 1/sqrt(2) means phi < 70.3 degrees,
-    both outside the small apertures this form is meant for.
+    both outside the small apertures this form is meant for. F is the only
+    geometry that moves eval and scan: eta, the solid angle and the angular
+    correlation cancel in every ternary form's ratios, which read F S + 1.
     """
     require_in_range("half-aperture", phi_deg, 0, 90, low_open=True)
     c = math.cos(math.radians(phi_deg))
@@ -172,9 +174,10 @@ def complete_detection_rates(rates: DetectionRates) -> PairProbabilities:
 
 
 class IdealSource(Record):
-    """Simulation source: ideal polarizers and detectors."""
+    """Simulation source: ideal polarizers and detectors, an undamped fringe."""
 
     kind: ClassVar[str] = "qm-ideal"
+    f_factor: ClassVar[float] = 1.0
 
 
 class RealSource(Record):
@@ -183,3 +186,8 @@ class RealSource(Record):
     kind: ClassVar[str] = "qm-real"
 
     geometry: CascadeGeometry
+
+    @property
+    def f_factor(self) -> float:
+        """The geometry's effective depolarization factor."""
+        return self.geometry.f_factor

@@ -71,6 +71,7 @@ class TestEval:
         assert payload["violation_factor"] == pytest.approx(1.5, abs=1e-12)
         assert payload["violated"] is True
         assert payload["inputs"]["eta"] == 0.2
+        assert payload["inputs"]["f_factor"] == 1.0
 
     def test_detection_undamped(self, capsys):
         payload = run_json(capsys, [
@@ -190,11 +191,19 @@ class TestFormRegistry:
         echo = payload["inputs"]["quad"]
         quad = SettingsQuad.of(echo["a"], echo["b"], echo["a_prime"], echo["b_prime"])
         if source == "qm-ideal":
-            expected = _ideal_reference(name, quad)
+            f, expected = 1.0, _ideal_reference(name, quad)
         else:
-            expected = _real_reference(name, quad, qm.CascadeGeometry(eta=0.3, phi_deg=40.0))
+            geom = qm.CascadeGeometry(eta=0.3, phi_deg=40.0)
+            f, expected = geom.f_factor, _real_reference(name, quad, geom)
         assert payload["name"] == name
-        assert payload["lhs"] == expected.lhs
+        if name in ("bell65", "chsh"):
+            assert payload["lhs"] == expected.lhs
+            return
+        # Every ternary form at a qm source is F S + 1: one fsum of the
+        # F-scaled correlations and the 1, a few ulps from the term rule.
+        e1, e2, e3, e4 = (cos_double_angle(x1 - x2) for x1, x2 in quad.pair_axes())
+        assert payload["lhs"] == math.fsum((f * e1, f * e2, f * e3, -f * e4, 1.0))
+        assert abs(payload["lhs"] - expected.lhs) <= 1e-14
 
     @pytest.mark.parametrize("name", list(REQUIRED_SOURCE))
     def test_mismatched_source(self, capsys, name):
@@ -234,6 +243,22 @@ class TestFormRegistry:
         for axes in [(0, 0, 0, 0), (0, 120, 240, 120), (10.5, 77.25, 133, 133), (5, 50, 95, 140)]:
             quad = SettingsQuad.of(*axes)
             assert optimizer.objective(quad, name, source) == FORMS[name].evaluate(quad, source).lhs
+
+
+@pytest.mark.parametrize("command", [
+    "eval --ineq detection --source qm-real --eta 1e-160 --phi 30",
+    "eval --ineq detection-sym --source qm-real --eta 1e-300",
+    "scan --ineq detection --source qm-real --eta 1e-200 --step 15",
+])
+def test_underflowing_rates_read_as_at_eta_1(capsys, command):
+    # The rates carry eta^2 and underflow here; the lhs is F S + 1 all the same.
+    tiny = shlex.split(command)
+    at_one = list(tiny)
+    at_one[tiny.index("--eta") + 1] = "1"
+    payloads = [run_json(capsys, argv) for argv in (tiny, at_one)]
+    for payload in payloads:
+        del payload["inputs"]["eta"]
+    assert payloads[0] == payloads[1]
 
 
 class TestMc:
@@ -434,6 +459,7 @@ class TestScan:
         assert inputs == {
             "ineq": "detection", "source": "qm-real", "step_deg": 15.0, "refine_rounds": 0,
             "eta": 0.37, "phi_deg": 41.3, "f_override": 1.0 if force else None,
+            "f_factor": 1.0 if force else qm.depolarization_factor(41.3),
         }
 
     def test_ideal_scan_echoes_no_geometry(self, capsys):

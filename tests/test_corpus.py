@@ -30,6 +30,11 @@ when the scan grid became the lhs at grid offsets: the step-7.3 ternary and
 detection surfaces, and the step-13.017994494867063 scan, whose coarse
 phase breaks a symmetric tie there.
 
+Lines 151-153 pin eval and scan at an eta whose detection rates underflow
+(1e-160, 1e-300, 1e-200): each reads the lhs of eta 1, as every ternary form
+at a qm source is F S + 1. Lines 154-160 are README's example commands that
+no earlier line ran verbatim.
+
 tests/corpus/update.py rewrites the digests; a change that runs it lists
 every line whose digest moved.
 """

@@ -30,6 +30,7 @@ from belltest.montecarlo import (  # noqa: E402
     CoincidenceCounters,
     evaluate_symmetric_detection,
 )
+from test_cli import _ideal_reference, _real_reference  # noqa: E402
 from test_optimizer import _numpy_axis, _numpy_planes  # noqa: E402
 
 angles = st.floats(min_value=-720.0, max_value=720.0, allow_nan=False)
@@ -124,6 +125,71 @@ def test_detection_forms_ignore_a_common_rate_scale(axes, geom, scale):
 
     assert general(scaled) == pytest.approx(general(rates), abs=1e-9)
     assert symmetric(scaled) == pytest.approx(symmetric(rates), abs=1e-9)
+
+
+# At both qm sources every ternary form is F S + 1, S = E1 + E2 + E3 - E4 over
+# the ideal correlations: eta, the solid angle and g cancel in the ratios.
+TERNARY_FORMS = ("ternary", "ternary-sym", "detection", "detection-sym")
+eta_values = st.one_of(
+    st.sampled_from((1.0, 1e-160, 1e-300, 5e-324)),  # the last three underflow rates
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+)
+
+
+@pytest.mark.parametrize("name", ["detection", "detection-sym"])
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    etas=st.tuples(eta_values, eta_values),
+    phi=st.floats(min_value=0.0, max_value=90.0, exclude_min=True),
+    f_override=st.one_of(st.none(), st.floats(min_value=0.0, max_value=1.0)),
+)
+def test_eval_bytes_ignore_eta(name, data, etas, phi, f_override):
+    # Two eval runs at one (phi, F) print the same bytes but the eta echo,
+    # even where the detection rates proportional to eta^2 underflow to 0.
+    axes = ",".join(map(repr, data.draw(quads_for(name))))
+    texts = []
+    for eta in etas:
+        argv = ["eval", "--ineq", name, "--source", "qm-real", f"--angles={axes}",
+                "--eta", repr(eta), "--phi", repr(phi)]
+        if f_override is not None:
+            argv += ["--force-F", repr(f_override)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(argv) == 0
+        texts.append(out.getvalue().replace(f'"eta": {eta!r},', ""))
+    assert texts[0] == texts[1]
+
+
+faint_geometries = st.builds(
+    qm.CascadeGeometry,
+    eta=st.floats(min_value=1e-6, max_value=1.0),
+    phi_deg=st.floats(min_value=1.0, max_value=90.0),
+    f_override=st.one_of(st.none(), st.floats(min_value=0.0, max_value=1.0)),
+)
+
+
+@pytest.mark.parametrize("name", TERNARY_FORMS)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), geom=faint_geometries)
+def test_ternary_forms_agree_with_the_term_evaluators(name, data, geom):
+    # The form table's F S + 1 against the independent path: the term rule on
+    # ideal probabilities, or the rate ratios of qm.detection_rates. A
+    # symmetric form's own rule reads 3 E1 for E1 + E2 + E3, so its quads hold
+    # a = 0, where the three cross differences are +-d exactly; quads_for's
+    # rotated ones differ by rounding, up to 1.2e-14 in the lhs.
+    if name in SYMMETRIC_FORMS:
+        d = data.draw(angles)
+        axes = (0.0, d, d + data.draw(signs) * d, data.draw(signs) * d)
+    else:
+        axes = data.draw(quads_for(name))
+    quad = SettingsQuad.of(*axes)
+    if FORMS[name].source is qm.IdealSource:
+        got, want = FORMS[name].evaluate(quad, qm.IdealSource()), _ideal_reference(name, quad)
+    else:
+        got = FORMS[name].evaluate(quad, qm.RealSource(geom))
+        want = _real_reference(name, quad, geom)
+    assert abs(got.lhs - want.lhs) <= 1e-14
 
 
 @settings(max_examples=300, deadline=None)
